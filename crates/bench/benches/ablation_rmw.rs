@@ -1,56 +1,51 @@
-//! B6 (ablation): single-instruction RMWs (ARMv8.1 LSE / RISC-V AMOs) vs
+//! Ablation: single-instruction RMWs (ARMv8.1 LSE / RISC-V AMOs) vs
 //! their LL/SC exclusive-retry-loop desugaring — the same workload, same
 //! outcome set, explored with one-transition atomic updates vs
 //! fuel-bounded loadx/storex loops. The gap is the retry-loop state-space
-//! blow-up that first-class RMWs collapse.
+//! blow-up that first-class RMWs collapse. Prints the best of
+//! [`SAMPLES`] runs per cell.
+//!
+//! `cargo bench -p promising-bench --bench ablation_rmw`
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use promising_bench::best_of;
 use promising_core::{Arch, Machine};
-use promising_explorer::{explore_naive, explore_promise_first, CertMode};
+use promising_explorer::{explore_naive, explore_promise_first, CertMode, Exploration};
 use promising_workloads::{by_spec, init_for};
 
 /// Extra loop fuel handed to the desugared build: room for one retry per
 /// executed RMW on top of the workload's own spin bounds.
 const LLSC_EXTRA_FUEL: u32 = 2;
 
-fn bench_rmw_vs_llsc(c: &mut Criterion) {
-    // promise-first: the production search. The desugared loops pay in
-    // certification and phase-2 work rather than promise states.
-    for spec in ["SLA-2", "TL-1", "STC-100-010-000"] {
-        let w = by_spec(spec).expect("spec parses");
-        let l = w.desugared(LLSC_EXTRA_FUEL);
-        let init = init_for(&w);
-        let mut group = c.benchmark_group(format!("{spec}-promise-first"));
-        group.sample_size(10);
-        group.bench_function("lse-rmw", |b| {
-            let m = Machine::with_init(w.program.clone(), w.config(Arch::Arm), init.clone());
-            b.iter(|| explore_promise_first(&m))
-        });
-        group.bench_function("llsc-desugared", |b| {
-            let m = Machine::with_init(l.program.clone(), l.config(Arch::Arm), init.clone());
-            b.iter(|| explore_promise_first(&m))
-        });
-        group.finish();
-    }
+const SAMPLES: usize = 5;
 
-    // naive full interleaving: the raw machine-state-space comparison.
-    for spec in ["SLA-1", "TL-1"] {
+fn bench(search: &str, specs: &[&str], explore: fn(&Machine) -> Exploration) {
+    for spec in specs {
         let w = by_spec(spec).expect("spec parses");
         let l = w.desugared(LLSC_EXTRA_FUEL);
         let init = init_for(&w);
-        let mut group = c.benchmark_group(format!("{spec}-naive"));
-        group.sample_size(10);
-        group.bench_function("lse-rmw", |b| {
-            let m = Machine::with_init(w.program.clone(), w.config(Arch::Arm), init.clone());
-            b.iter(|| explore_naive(&m, CertMode::Online))
-        });
-        group.bench_function("llsc-desugared", |b| {
-            let m = Machine::with_init(l.program.clone(), l.config(Arch::Arm), init.clone());
-            b.iter(|| explore_naive(&m, CertMode::Online))
-        });
-        group.finish();
+        for (label, build) in [("lse-rmw", &w), ("llsc-desugared", &l)] {
+            let m =
+                Machine::with_init(build.program.clone(), build.config(Arch::Arm), init.clone());
+            let best = best_of(SAMPLES, || explore(&m));
+            println!(
+                "{:<45} {:>10.3} ms",
+                format!("{spec}-{search}/{label}"),
+                best.as_secs_f64() * 1e3
+            );
+        }
     }
 }
 
-criterion_group!(benches, bench_rmw_vs_llsc);
-criterion_main!(benches);
+fn main() {
+    // promise-first: the production search. The desugared loops pay in
+    // certification and phase-2 work rather than promise states.
+    bench(
+        "promise-first",
+        &["SLA-2", "TL-1", "STC-100-010-000"],
+        explore_promise_first,
+    );
+    // naive full interleaving: the raw machine-state-space comparison.
+    bench("naive", &["SLA-1", "TL-1"], |m| {
+        explore_naive(m, CertMode::Online)
+    });
+}

@@ -1,5 +1,5 @@
 //! Fault-tolerant batch litmus campaigns: the orchestration layer behind
-//! the `litmus_batch` binary (DESIGN.md experiment L1 at scale).
+//! the `litmus_batch` binary (the agreement sweep at campaign scale).
 //!
 //! A *campaign* runs a corpus of litmus tests under a set of models with
 //! per-test budgets, and is built to survive the failure modes that kill

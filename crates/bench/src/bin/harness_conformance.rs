@@ -16,6 +16,7 @@
 //!   quick CI sweeps);
 //! * `--json PATH` — write a machine-readable verdict snapshot.
 
+use promising_bench::cli::{Cli, Opt};
 use promising_bench::{host_cpus, Table};
 use promising_core::Arch;
 use promising_harness::corpus::corpus;
@@ -23,27 +24,16 @@ use promising_harness::ModelKind;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-fn main() {
-    let mut subsample: Option<usize> = None;
-    let mut json: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--subsample" => {
-                subsample = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .expect("--subsample needs a stride"),
-                )
-            }
-            "--json" => json = Some(it.next().expect("--json needs a path")),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
+const CLI: Cli = Cli {
+    bin: "harness_conformance",
+    opts: &[Opt::Subsample, Opt::Json],
+};
 
+fn main() {
+    let args = CLI.args();
     let all = corpus();
     let total = all.len();
-    let stride = subsample.unwrap_or(1).max(1);
+    let stride = args.subsample.unwrap_or(1).max(1);
     let tests: Vec<_> = all.into_iter().step_by(stride).collect();
 
     let start = Instant::now();
@@ -110,17 +100,18 @@ fn main() {
         start.elapsed().as_secs_f64()
     );
 
-    if let Some(path) = json {
+    if let Some(path) = args.json {
         let body = format!(
             "{{\"checked\":{},\"total\":{},\"failed\":{},\"cores\":{},\"elapsed_s\":{:.1},\n\"rows\":[\n{}\n]}}\n",
             tests.len(),
             total,
-            host_cpus(),
             failures.len(),
+            host_cpus(),
             start.elapsed().as_secs_f64(),
             json_rows.join(",\n")
         );
-        std::fs::write(&path, body).expect("write json snapshot");
+        std::fs::write(&path, body)
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {path}: {e}")));
         println!("wrote {path}");
     }
 

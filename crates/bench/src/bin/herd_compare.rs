@@ -1,23 +1,25 @@
-//! Experiment H1 (DESIGN.md): the §8 herd comparison — run times of the
-//! Promising explorer vs the axiomatic (herd-style) enumerator on the
-//! small lock instances and on representative litmus tests.
+//! The §8 herd comparison — run times of the Promising explorer vs the
+//! axiomatic (herd-style) enumerator on the small lock instances and on
+//! representative litmus tests.
 //!
 //! Usage: `cargo run --release -p promising-bench --bin herd_compare [timeout-secs]`
 
 use promising_axiomatic::{enumerate_outcomes, AxConfig};
+use promising_bench::cli::{Cli, Opt};
 use promising_bench::{fmt_duration, Table};
 use promising_core::{Arch, Machine};
 use promising_explorer::{explore_promise_first_budget, SearchBudget};
 use promising_litmus::by_name;
 use promising_workloads::{by_spec, init_for};
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+const CLI: Cli = Cli {
+    bin: "herd_compare",
+    opts: &[Opt::Timeout(60)],
+};
 
 fn main() {
-    let timeout = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(60u64);
-    let timeout = Duration::from_secs(timeout);
+    let timeout = CLI.args().timeout;
     println!(
         "Herd comparison: Promising vs axiomatic candidate enumeration (timeout {}s)\n",
         timeout.as_secs()

@@ -1,11 +1,12 @@
-//! Experiment L1 (DESIGN.md): model-agreement sweep over the full
-//! generated litmus suites plus the named catalogue — the analogue of the
-//! paper's ~6,500-ARM/~7,000-RISC-V herd validation (§7).
+//! Model-agreement sweep over the full generated litmus suites plus the
+//! named catalogue — the analogue of the paper's ~6,500-ARM/~7,000-RISC-V
+//! herd validation (§7).
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p promising-bench --bin litmus_agreement [-- --subsample STRIDE]
+//! cargo run --release -p promising-bench --bin litmus_agreement -- \
+//!     [--subsample STRIDE] [--por-sweep]
 //! ```
 //!
 //! `--subsample STRIDE` keeps every `STRIDE`-th generated test (the
@@ -19,11 +20,11 @@
 //! outcome sets are identical to the default (por+dpor on) runs — the
 //! direct `Config::{por, dpor}` soundness sweep CI runs per push.
 
+use promising_bench::cli::{Cli, Opt};
+use promising_bench::corpus::{hardware_corpus, lang_corpus};
 use promising_core::Arch;
 use promising_litmus::{
-    catalogue, check_agreement, check_lang_conformance, generate_lang_subsample,
-    generate_lang_suite, generate_rmw_subsample, generate_subsample, generate_suite,
-    generate_three_thread_suite, lang_catalogue, run_model_with, LitmusTest, ModelKind,
+    check_agreement, check_lang_conformance, run_model_with, LitmusTest, ModelKind,
 };
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -66,23 +67,14 @@ fn check_por_agreement(
     Ok(())
 }
 
+const CLI: Cli = Cli {
+    bin: "litmus_agreement",
+    opts: &[Opt::Subsample, Opt::Switch("--por-sweep")],
+};
+
 fn main() {
-    let mut subsample: Option<usize> = None;
-    let mut por_sweep = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--subsample" => {
-                subsample = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .expect("--subsample needs a stride"),
-                )
-            }
-            "--por-sweep" => por_sweep = true,
-            other => panic!("unknown argument: {other}"),
-        }
-    }
+    let args = CLI.args();
+    let por_sweep = args.switch("--por-sweep");
 
     let models = [ModelKind::Promising, ModelKind::Axiomatic, ModelKind::Flat];
     let mut total = 0usize;
@@ -90,38 +82,7 @@ fn main() {
     let start = Instant::now();
 
     for arch in [Arch::Arm, Arch::RiscV] {
-        let mut tests = match subsample {
-            // Offset the stride per arch so repeated CI runs with different
-            // strides don't keep re-checking the same prefix shapes. The
-            // three-thread suite (IRIW/WRC shapes) is strided too — it
-            // exercises cross-thread propagation paths the two-thread
-            // suite cannot.
-            Some(stride) => {
-                let mut t = generate_subsample(arch, stride, arch as usize % stride.max(1));
-                t.extend(
-                    generate_three_thread_suite(arch)
-                        .into_iter()
-                        .skip(arch as usize % stride.max(1))
-                        .step_by(stride.max(1)),
-                );
-                // stride the RMW cross separately (RMW links are a small
-                // fraction of the link set, so the plain subsample alone
-                // under-covers them), deduplicating by name
-                let have: BTreeSet<String> = t.iter().map(|x| x.name.clone()).collect();
-                t.extend(
-                    generate_rmw_subsample(arch, stride, arch as usize % stride.max(1))
-                        .into_iter()
-                        .filter(|x| !have.contains(&x.name)),
-                );
-                t
-            }
-            None => {
-                let mut t = generate_suite(arch);
-                t.extend(generate_three_thread_suite(arch));
-                t
-            }
-        };
-        tests.extend(catalogue().into_iter().filter(|t| t.arch == arch));
+        let tests = hardware_corpus(arch, args.subsample);
         println!("{}: {} tests", arch.name(), tests.len());
         for (i, test) in tests.iter().enumerate() {
             let mut flat_on = None;
@@ -153,20 +114,8 @@ fn main() {
 
     // The language-level corpus: conformance is stricter than agreement —
     // outcome sets must also coincide *across architectures* (each test
-    // compiles to both ARM and RISC-V). The named language catalogue is
-    // always kept in full; the generated language corpus is strided.
-    let mut lang_tests = lang_catalogue();
-    let have: BTreeSet<String> = lang_tests.iter().map(|t| t.name.clone()).collect();
-    lang_tests.extend(
-        match subsample {
-            Some(stride) => generate_lang_subsample(stride, 0),
-            None => generate_lang_suite(),
-        }
-        .into_iter()
-        // part (c) of the generated suite re-derives some named RMW
-        // catalogue shapes; don't check them twice
-        .filter(|t| !have.contains(&t.name)),
-    );
+    // compiles to both ARM and RISC-V).
+    let lang_tests = lang_corpus(args.subsample);
     println!("lang: {} tests (×2 architectures)", lang_tests.len());
     for test in &lang_tests {
         let mut flat_on: Vec<(Arch, promising_litmus::ModelRun)> = Vec::new();

@@ -28,58 +28,27 @@
 use promising_bench::batch::{
     run_campaign, verdict_db, write_verdict_db, BatchConfig, Tier, TierBudgets,
 };
+use promising_bench::{cli, corpus};
 use promising_core::Arch;
-use promising_litmus::{
-    catalogue, generate_lang_subsample, generate_lang_suite, generate_rmw_subsample,
-    generate_subsample, generate_suite, generate_three_thread_suite, lang_catalogue, LitmusTest,
-    ModelKind, SearchBudget, StopReason,
-};
-use std::collections::BTreeSet;
+use promising_litmus::{LitmusTest, ModelKind, SearchBudget, StopReason};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-/// The campaign corpus: named hardware catalogues (always in full),
-/// strided generated hardware suites, and the language corpus compiled
-/// for both architectures — the same selection the agreement sweep
-/// uses, so verdicts line up with experiment L1.
-fn corpus(subsample: Option<usize>) -> Vec<LitmusTest> {
-    let mut tests = Vec::new();
-    for arch in [Arch::Arm, Arch::RiscV] {
-        match subsample {
-            Some(stride) => {
-                let offset = arch as usize % stride.max(1);
-                tests.extend(generate_subsample(arch, stride, offset));
-                tests.extend(
-                    generate_three_thread_suite(arch)
-                        .into_iter()
-                        .skip(offset)
-                        .step_by(stride.max(1)),
-                );
-                let have: BTreeSet<String> = tests.iter().map(|t| t.name.clone()).collect();
-                tests.extend(
-                    generate_rmw_subsample(arch, stride, offset)
-                        .into_iter()
-                        .filter(|t| !have.contains(&t.name)),
-                );
-            }
-            None => {
-                tests.extend(generate_suite(arch));
-                tests.extend(generate_three_thread_suite(arch));
-            }
-        }
-        tests.extend(catalogue().into_iter().filter(|t| t.arch == arch));
-    }
-    let mut lang = lang_catalogue();
-    let have: BTreeSet<String> = lang.iter().map(|t| t.name.clone()).collect();
-    lang.extend(
-        match subsample {
-            Some(stride) => generate_lang_subsample(stride, 0),
-            None => generate_lang_suite(),
-        }
+const USAGE: &str = "usage: litmus_batch [--subsample STRIDE] [--models M,..] [--jobs N] \
+                     [--cache PATH] [--db PATH] [--deadline-ms MS] [--max-states N] \
+                     [--max-bytes N] [--retry-scale K] [--sample-traces N] [--seed S] \
+                     [--inject-panic TEST] [--campaign-states N] [--assert-faults]";
+
+/// The campaign corpus: per architecture the hardware tests, then the
+/// language corpus compiled for both architectures — the selection the
+/// agreement sweep uses, so verdicts line up with `litmus_agreement`.
+fn campaign_corpus(subsample: Option<usize>) -> Vec<LitmusTest> {
+    let mut tests: Vec<LitmusTest> = [Arch::Arm, Arch::RiscV]
         .into_iter()
-        .filter(|t| !have.contains(&t.name)),
-    );
-    for t in &lang {
+        .flat_map(|arch| corpus::hardware_corpus(arch, subsample))
+        .collect();
+    for t in corpus::lang_corpus(subsample) {
         for arch in [Arch::Arm, Arch::RiscV] {
             tests.push(t.compile(arch));
         }
@@ -167,7 +136,7 @@ fn main() {
         campaign_state_budget: campaign_states,
     };
 
-    let tests = corpus(subsample);
+    let tests = campaign_corpus(subsample);
     println!(
         "litmus_batch: {} tests × {:?} ({} jobs)",
         tests.len(),
@@ -253,12 +222,10 @@ fn main() {
     }
 }
 
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| die(&format!("{flag}: invalid value {s:?}")))
+fn parse<T: FromStr>(s: &str, flag: &str) -> T {
+    cli::parse(s, flag).unwrap_or_else(|e| die(&e))
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("litmus_batch: {msg}");
-    std::process::exit(2);
+    cli::die("litmus_batch", msg, USAGE)
 }

@@ -1,14 +1,14 @@
-//! Experiment T1 (DESIGN.md): regenerate Table 1 — per-workload size
-//! (instruction count as the LOC analogue) and thread counts — plus the
-//! `--rmw` ablation columns: the explored state space of each row's
-//! single-instruction-RMW build vs its mechanically-desugared LL/SC
-//! build (same outcome sets, cross-checked).
+//! Regenerate Table 1 — per-workload size (instruction count as the LOC
+//! analogue) and thread counts — plus the `--rmw` ablation columns: the
+//! explored state space of each row's single-instruction-RMW build vs
+//! its mechanically-desugared LL/SC build (same outcome sets,
+//! cross-checked).
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p promising-bench --bin table1 -- \
-//!     [--rmw] [timeout-secs] [--json PATH] [--rows A,B,..]
+//!     [timeout-secs] [--json PATH] [--rows A,B,..] [--rmw]
 //! ```
 //!
 //! * `--rmw` — additionally explore every row twice under the naive
@@ -20,7 +20,8 @@
 //! * rows without any RMW instruction desugar to themselves and report a
 //!   ratio of 1.
 
-use promising_bench::{fmt_duration, host_cpus, Table};
+use promising_bench::cli::{Cli, Opt};
+use promising_bench::{fmt_duration, host_cpus, json_secs, Table};
 use promising_core::{Arch, Machine};
 use promising_explorer::{explore_naive_budget, CertMode, SearchBudget};
 use promising_workloads::{init_for, table1_rows};
@@ -30,41 +31,19 @@ use std::time::Duration;
 /// Extra loop fuel handed to the desugared builds (room for retries).
 const LLSC_EXTRA_FUEL: u32 = 2;
 
-struct Args {
-    rmw: bool,
-    timeout: Duration,
-    json: Option<String>,
-    rows: Option<Vec<String>>,
+fn is_row(name: &str) -> bool {
+    table1_rows().iter().any(|w| w.name == name)
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        rmw: false,
-        timeout: Duration::from_secs(60),
-        json: None,
-        rows: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--rmw" => args.rmw = true,
-            "--json" => args.json = Some(it.next().expect("--json needs a path")),
-            "--rows" => {
-                let list = it.next().expect("--rows needs a list");
-                args.rows = Some(list.split(',').map(|s| s.to_string()).collect());
-            }
-            other => match other.parse::<u64>() {
-                Ok(secs) => args.timeout = Duration::from_secs(secs),
-                Err(_) => panic!("unknown argument: {other}"),
-            },
-        }
-    }
-    assert!(
-        args.json.is_none() || args.rmw,
-        "--json records the RMW ablation rows: pass --rmw too"
-    );
-    args
-}
+const CLI: Cli = Cli {
+    bin: "table1",
+    opts: &[
+        Opt::Timeout(60),
+        Opt::Json,
+        Opt::Rows(is_row),
+        Opt::Switch("--rmw"),
+    ],
+};
 
 struct RmwCell {
     rmw_states: u64,
@@ -73,17 +52,14 @@ struct RmwCell {
     llsc_secs: Option<f64>,
 }
 
-fn json_cell(c: Option<f64>) -> String {
-    match c {
-        Some(secs) => format!("{secs:.6}"),
-        None => "null".to_string(),
-    }
-}
-
 fn main() {
-    let args = parse_args();
+    let args = CLI.args();
+    let rmw = args.switch("--rmw");
+    if args.json.is_some() && !rmw {
+        CLI.fail("--json records the RMW ablation rows: pass --rmw too");
+    }
     let mut header = vec!["Test", "Lang", "LOC", "Ts"];
-    if args.rmw {
+    if rmw {
         header.extend(["N-states(rmw)", "N-states(llsc)", "Reduction"]);
     }
     let mut table = Table::new(&header);
@@ -108,7 +84,7 @@ fn main() {
             w.num_threads().to_string(),
         ];
 
-        let rmw_cell = args.rmw.then(|| {
+        let rmw_cell = rmw.then(|| {
             let init = init_for(&w);
             let budget = SearchBudget::deadline(Some(args.timeout));
             let m = Machine::with_init(w.program.clone(), w.config(Arch::Arm), init.clone());
@@ -158,9 +134,9 @@ fn main() {
                 w.instruction_count(),
                 w.num_threads(),
                 r.rmw_states,
-                json_cell(r.rmw_secs),
+                json_secs(r.rmw_secs),
                 r.llsc_states,
-                json_cell(r.llsc_secs),
+                json_secs(r.llsc_secs),
             );
             json_rows.push(row);
         }
@@ -189,7 +165,8 @@ fn main() {
         let _ = writeln!(out, "{}", json_rows.join(",\n"));
         let _ = writeln!(out, "  ]");
         let _ = write!(out, "}}");
-        std::fs::write(path, out).expect("write json snapshot");
+        std::fs::write(path, out)
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {path}: {e}")));
         println!("wrote {path}");
     }
 }

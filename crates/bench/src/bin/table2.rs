@@ -1,65 +1,26 @@
-//! Experiment T2 (DESIGN.md): regenerate Table 2 — exhaustive-search run
-//! times, Promising (promise-first + shared-location optimisation) vs the
-//! Flat-lite baseline, on the paper's selected workload instances.
+//! Regenerate Table 2 — exhaustive-search run times, Promising
+//! (promise-first + shared-location optimisation) vs the Flat-lite
+//! baseline, on the paper's selected workload instances.
 //!
 //! The absolute numbers differ from the paper's (different host, different
 //! substrate); the *shape* to verify is Promising ≪ Flat with the gap
 //! exploding as the parameters grow (ooT = over the per-cell timeout).
 //!
-//! Usage:
-//!
 //! ```text
 //! cargo run --release -p promising-bench --bin table2 -- \
-//!     [timeout-secs] [--json PATH] [--legacy] [--no-flat] [--no-por] \
-//!     [--no-dpor] [--workers N,M,..] [--worker-sweep N,M,..] \
-//!     [--rows A,B,..] [--sample N] [--seed S]
+//!     [timeout-secs] [--json PATH] [--rows A,B,..] [--worker-sweep N,M,..] \
+//!     [--sample N] [--seed S] [--no-flat] [--no-por] [--no-dpor]
 //! ```
 //!
-//! * `--json PATH` — also write a machine-readable snapshot (the
-//!   committed `BENCH_baseline.json` is produced this way) for
-//!   perf-trajectory tracking across PRs;
-//! * `--legacy` — additionally run the pre-optimisation clone-heavy
-//!   promise-first baseline (`promising_bench::legacy`) and report the
-//!   speedup; outcome sets are cross-checked;
-//! * `--no-flat` — skip the Flat-lite cells (useful when profiling or
-//!   timing only the promising side);
-//! * `--no-por` — disable partial-order reduction (the escape hatch for
-//!   `Config::por`, which is on by default; outcome sets are identical
-//!   either way — the JSON rows carry a canonical `outcomes_digest` to
-//!   prove it across runs);
-//! * `--no-dpor` — keep the static POR but disable the per-location
-//!   dynamic refinement (`Config::dpor`): delayable-thread collapse,
-//!   the flat model's canonical per-location state encoding, and the
-//!   restricted-fingerprint certification memo keys;
-//! * `--workers 2,4` — additionally run the promising side with those
-//!   worker counts (parallel frontier);
-//! * `--worker-sweep 1,2,4,8` — the multi-core bench protocol: run the
-//!   promising side once per worker count, assert the outcome digests
-//!   byte-identical across counts, and emit a per-row `worker_sweep`
-//!   series (secs, steal counts, and — only when the host has more than
-//!   one logical core — speedup vs the 1-worker cell). The snapshot's
-//!   top-level `cores`/`worker_mode` pair says how to read the series:
-//!   on a 1-CPU host it is marked `overhead-only` and no speedup ratio
-//!   is ever printed;
-//! * `--rows SLA-1,SLC-2` — restrict to the named rows;
-//! * `--sample N` — additionally run `N` seeded random promise walks per
-//!   row (`Engine::sample`, deterministic for a fixed `--seed`); sampled
-//!   outcome sets are cross-checked to be subsets of the exhaustive sets.
+//! The committed `BENCH_baseline.json` is a `--json` snapshot; see
+//! `promising_bench::runtimes` for what each option does.
 
-use promising_bench::{
-    explore_promise_first_legacy, fmt_duration, host_cpus, json_secs, parse_worker_list,
-    sweep_cell_text, sweep_json, worker_mode, SweepCell, Table,
-};
-use promising_core::{Arch, Machine};
-use promising_explorer::{explore_promise_first_budget, Engine, PromiseFirstModel, SearchBudget};
-use promising_flat::{explore_flat_budget, FlatMachine};
-use promising_workloads::{by_spec, init_for};
-use std::fmt::Write as _;
-use std::time::Duration;
+use promising_bench::cli::{Cli, Opt};
+use promising_bench::runtimes::run_time_table;
 
 /// The Table 2 rows (paper parameterisations, trimmed to what completes
 /// in reasonable wall-clock on the Promising side).
-pub const ROWS: &[&str] = &[
+const ROWS: &[&str] = &[
     "SLA-1",
     "SLA-2",
     "SLA-3",
@@ -85,377 +46,25 @@ pub const ROWS: &[&str] = &[
     "QU(opt)-100-000-000",
 ];
 
-struct Args {
-    timeout: Duration,
-    json: Option<String>,
-    legacy: bool,
-    no_flat: bool,
-    no_por: bool,
-    no_dpor: bool,
-    workers: Vec<usize>,
-    sweep: Vec<usize>,
-    rows: Vec<String>,
-    sample: Option<u64>,
-    seed: u64,
+fn is_spec(spec: &str) -> bool {
+    promising_workloads::by_spec(spec).is_some()
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        timeout: Duration::from_secs(60),
-        json: None,
-        legacy: false,
-        no_flat: false,
-        no_por: false,
-        no_dpor: false,
-        workers: Vec::new(),
-        sweep: Vec::new(),
-        rows: ROWS.iter().map(|s| s.to_string()).collect(),
-        sample: None,
-        seed: 0,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => args.json = Some(it.next().expect("--json needs a path")),
-            "--legacy" => args.legacy = true,
-            "--no-flat" => args.no_flat = true,
-            "--no-por" => args.no_por = true,
-            "--no-dpor" => args.no_dpor = true,
-            "--workers" => {
-                let list = it.next().expect("--workers needs a list");
-                args.workers = list
-                    .split(',')
-                    .map(|w| w.parse().expect("worker counts are integers"))
-                    .collect();
-            }
-            "--worker-sweep" => {
-                args.sweep = parse_worker_list(&it.next().expect("--worker-sweep needs a list"));
-            }
-            "--rows" => {
-                let list = it.next().expect("--rows needs a list");
-                args.rows = list.split(',').map(|s| s.to_string()).collect();
-            }
-            "--sample" => {
-                args.sample = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .expect("--sample needs a trace count"),
-                )
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .expect("--seed needs an integer")
-            }
-            other => match other.parse::<u64>() {
-                Ok(secs) => args.timeout = Duration::from_secs(secs),
-                Err(_) => panic!("unknown argument: {other}"),
-            },
-        }
-    }
-    args
-}
-
-/// One measured cell: `None` = over the timeout ("ooT").
-type Cell = Option<f64>;
-
-struct Row {
-    spec: String,
-    promising: Cell,
-    p_cpu: f64,
-    p_states: u64,
-    /// Canonically sorted outcome-set digest + size: identical for every
-    /// worker count and run, so `--json` snapshots diff cleanly.
-    p_outcomes: usize,
-    p_digest: String,
-    /// Why the promising search stopped ([`StopReason::name`]): explains
-    /// a `null` timing — "deadline" (the classic ooT), a resource budget,
-    /// or "completed" for a cell that ran to exhaustion.
-    p_stop: &'static str,
-    flat: Cell,
-    f_states: u64,
-    f_stop: &'static str,
-    legacy: Cell,
-    by_workers: Vec<(usize, Cell)>,
-    /// The `--worker-sweep` series: one cell per requested worker count,
-    /// outcome digests asserted byte-identical to the serial reference.
-    sweep: Vec<SweepCell>,
-    sampled: Option<(Cell, usize)>,
-}
-
-fn render_json(args: &Args, rows: &[Row]) -> String {
-    let timeout = args.timeout;
-    let cores = host_cpus();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"suite\": \"table2\",");
-    let _ = writeln!(out, "  \"timeout_secs\": {},", timeout.as_secs());
-    // Interpreting the worker columns needs the host's parallelism: on a
-    // 1-CPU host they measure scheduling overhead, not scaling, so the
-    // sweep is marked "overhead-only" and carries no speedup ratios.
-    let _ = writeln!(out, "  \"cores\": {cores},");
-    let _ = writeln!(out, "  \"worker_mode\": \"{}\",", worker_mode(cores));
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"test\": \"{}\", \"promising_secs\": {}, \"promising_cpu_secs\": {:.6}, \"promising_states\": {}, \"promising_stop\": \"{}\", \"outcome_count\": {}, \"outcomes_digest\": \"{}\"",
-            r.spec,
-            json_secs(r.promising),
-            r.p_cpu,
-            r.p_states,
-            r.p_stop,
-            r.p_outcomes,
-            r.p_digest,
-        );
-        // Un-run cells are omitted entirely — `null` is reserved for a
-        // real timeout ("ooT") and must stay distinguishable.
-        if !args.no_flat {
-            let _ = write!(
-                out,
-                ", \"flat_secs\": {}, \"flat_states\": {}, \"flat_stop\": \"{}\"",
-                json_secs(r.flat),
-                r.f_states,
-                r.f_stop,
-            );
-        }
-        if args.legacy {
-            let _ = write!(out, ", \"legacy_secs\": {}", json_secs(r.legacy));
-            if let (Some(l), Some(p)) = (r.legacy, r.promising) {
-                let _ = write!(out, ", \"speedup_vs_legacy\": {:.2}", l / p.max(1e-9));
-            }
-        }
-        for (w, cell) in &r.by_workers {
-            let _ = write!(out, ", \"promising_w{}_secs\": {}", w, json_secs(*cell));
-        }
-        let _ = write!(out, "{}", sweep_json(&r.sweep, cores));
-        if let Some((cell, outcomes)) = &r.sampled {
-            let _ = write!(
-                out,
-                ", \"sample_secs\": {}, \"sample_outcomes\": {}",
-                json_secs(*cell),
-                outcomes
-            );
-        }
-        let _ = writeln!(out, "}}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
-}
+const CLI: Cli = Cli {
+    bin: "table2",
+    opts: &[
+        Opt::Timeout(60),
+        Opt::Json,
+        Opt::Rows(is_spec),
+        Opt::WorkerSweep,
+        Opt::Sample,
+        Opt::Seed,
+        Opt::Switch("--no-flat"),
+        Opt::Switch("--no-por"),
+        Opt::Switch("--no-dpor"),
+    ],
+};
 
 fn main() {
-    let args = parse_args();
-    let cores = host_cpus();
-    println!(
-        "Table 2: exhaustive run times in seconds (timeout {}s per cell)\n",
-        args.timeout.as_secs()
-    );
-    if !args.sweep.is_empty() {
-        println!(
-            "worker sweep {:?} on {} logical core(s): {} columns\n",
-            args.sweep,
-            cores,
-            worker_mode(cores)
-        );
-    }
-    let mut header: Vec<String> = ["Test", "Promising", "Flat", "P-states", "F-states"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    if args.legacy {
-        header.push("Legacy".to_string());
-        header.push("Speedup".to_string());
-    }
-    for w in &args.workers {
-        header.push(format!("P-w{w}"));
-    }
-    for w in &args.sweep {
-        header.push(format!("Sweep-w{w}"));
-    }
-    if let Some(n) = args.sample {
-        header.push(format!("Sampled({n})"));
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(&header_refs);
-    let mut rows: Vec<Row> = Vec::new();
-
-    for spec in &args.rows {
-        let w = by_spec(spec)
-            .unwrap_or_else(|| panic!("unknown workload spec `{spec}` (see --rows / ROWS)"));
-        let init = init_for(&w);
-
-        let budget = SearchBudget::deadline(Some(args.timeout));
-        let mk_config =
-            |base: promising_core::Config| base.with_por(!args.no_por).with_dpor(!args.no_dpor);
-        let m = Machine::with_init(
-            w.program.clone(),
-            mk_config(w.config(Arch::Arm)),
-            init.clone(),
-        );
-        let p = explore_promise_first_budget(&m, budget);
-        let p_time = (!p.stats.truncated()).then_some(p.stats.wall_time.as_secs_f64());
-        if !p.stats.truncated() {
-            let violations = w.violations(&p.outcomes);
-            if !violations.is_empty() {
-                println!("!! {spec}: incorrect states found: {}", violations[0]);
-            }
-        }
-
-        let legacy = args.legacy.then(|| {
-            let e = explore_promise_first_legacy(&m, Some(args.timeout));
-            if !e.stats.truncated() && !p.stats.truncated() {
-                assert_eq!(
-                    e.outcomes, p.outcomes,
-                    "{spec}: legacy and optimised outcome sets must agree"
-                );
-            }
-            (!e.stats.truncated()).then_some(e.stats.wall_time.as_secs_f64())
-        });
-
-        let by_workers: Vec<(usize, Cell)> = args
-            .workers
-            .iter()
-            .map(|&n| {
-                let mw = Machine::with_init(
-                    w.program.clone(),
-                    mk_config(w.config(Arch::Arm)).with_workers(n),
-                    init.clone(),
-                );
-                let e = explore_promise_first_budget(&mw, budget);
-                if !e.stats.truncated() && !p.stats.truncated() {
-                    assert_eq!(
-                        e.outcomes, p.outcomes,
-                        "{spec}: {n}-worker and serial outcome sets must agree"
-                    );
-                }
-                (
-                    n,
-                    (!e.stats.truncated()).then_some(e.stats.wall_time.as_secs_f64()),
-                )
-            })
-            .collect();
-
-        let sweep: Vec<SweepCell> = args
-            .sweep
-            .iter()
-            .map(|&n| {
-                let mw = Machine::with_init(
-                    w.program.clone(),
-                    mk_config(w.config(Arch::Arm)).with_workers(n),
-                    init.clone(),
-                );
-                let e = explore_promise_first_budget(&mw, budget);
-                if !e.stats.truncated() && !p.stats.truncated() {
-                    assert_eq!(
-                        e.outcomes_digest(),
-                        p.outcomes_digest(),
-                        "{spec}: {n}-worker outcome digest must be byte-identical to serial"
-                    );
-                }
-                SweepCell {
-                    workers: n,
-                    secs: (!e.stats.truncated()).then_some(e.stats.wall_time.as_secs_f64()),
-                    steals: e.stats.steals,
-                }
-            })
-            .collect();
-
-        let (f_time, f_states, f_stop) = if args.no_flat {
-            (None, 0, "completed")
-        } else {
-            let fm = FlatMachine::with_init(
-                w.program.clone(),
-                mk_config(w.config_unshared(Arch::Arm)),
-                init,
-            );
-            let f = explore_flat_budget(&fm, budget);
-            (
-                (!f.stats.truncated()).then_some(f.stats.wall_time.as_secs_f64()),
-                f.stats.states,
-                f.stats.stop.name(),
-            )
-        };
-
-        let sampled = args.sample.map(|n| {
-            let s = Engine::new(PromiseFirstModel::new(&m))
-                .with_budget(budget)
-                .sample(n, args.seed);
-            if !p.stats.truncated() {
-                assert!(
-                    s.outcomes.is_subset(&p.outcomes),
-                    "{spec}: sampled outcomes must be a subset of exhaustive"
-                );
-            }
-            (
-                (!s.stats.truncated()).then_some(s.stats.wall_time.as_secs_f64()),
-                s.outcomes.len(),
-            )
-        });
-
-        let row = Row {
-            spec: spec.clone(),
-            promising: p_time,
-            p_cpu: p.stats.cpu_time.as_secs_f64(),
-            p_states: p.stats.states,
-            p_outcomes: p.outcomes.len(),
-            p_digest: p.outcomes_digest(),
-            p_stop: p.stats.stop.name(),
-            flat: f_time,
-            f_states,
-            f_stop,
-            legacy: legacy.flatten(),
-            by_workers,
-            sweep,
-            sampled,
-        };
-
-        let fmt_cell = |c: Cell| fmt_duration(c.map(Duration::from_secs_f64));
-        let mut cells = vec![
-            row.spec.clone(),
-            fmt_cell(row.promising),
-            if args.no_flat {
-                "-".to_string()
-            } else {
-                fmt_cell(row.flat)
-            },
-            row.p_states.to_string(),
-            row.f_states.to_string(),
-        ];
-        if args.legacy {
-            cells.push(fmt_cell(row.legacy));
-            cells.push(match (row.legacy, row.promising) {
-                (Some(l), Some(p)) => format!("{:.1}x", l / p.max(1e-9)),
-                _ => "-".to_string(),
-            });
-        }
-        for (_, c) in &row.by_workers {
-            cells.push(fmt_cell(*c));
-        }
-        let sweep_base = row
-            .sweep
-            .iter()
-            .find(|c| c.workers == 1)
-            .and_then(|c| c.secs);
-        for c in &row.sweep {
-            cells.push(sweep_cell_text(c, sweep_base, cores));
-        }
-        if let Some((c, outcomes)) = &row.sampled {
-            cells.push(format!("{} ({} outc.)", fmt_cell(*c), outcomes));
-        }
-        table.row(&cells);
-        eprintln!(
-            "  {spec}: promising {} flat {}",
-            fmt_cell(row.promising),
-            fmt_cell(row.flat)
-        );
-        rows.push(row);
-    }
-    println!("{}", table.render());
-
-    if let Some(path) = &args.json {
-        std::fs::write(path, render_json(&args, &rows)).expect("write json snapshot");
-        println!("wrote {path}");
-    }
+    run_time_table(&CLI, "Table 2: exhaustive run times in seconds", ROWS);
 }

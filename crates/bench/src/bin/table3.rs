@@ -1,44 +1,19 @@
-//! Experiment T3 (DESIGN.md): regenerate Table 3 (Appendix E) — the full
-//! parameter sweep of Promising vs Flat, including the `(opt)` variants.
-//!
-//! Usage:
+//! Regenerate Table 3 (Appendix E) — the full parameter sweep of
+//! Promising vs Flat, including the `(opt)` variants.
 //!
 //! ```text
 //! cargo run --release -p promising-bench --bin table3 -- \
-//!     [timeout-secs] [--json PATH] [--no-por] [--no-dpor] \
-//!     [--worker-sweep N,M,..] [--sample N] [--seed S]
+//!     [timeout-secs] [--json PATH] [--worker-sweep N,M,..] \
+//!     [--sample N] [--seed S] [--no-por] [--no-dpor]
 //! ```
 //!
-//! * `--sample N` adds a sampled-promising column: `N` seeded random
-//!   promise walks per row ([`Engine::sample`]) — a sound
-//!   under-approximation that still reports outcomes on rows where the
-//!   exhaustive search is ooT;
-//! * `--json PATH` writes a machine-readable snapshot. Outcome sets are
-//!   emitted as canonically sorted digests (`outcomes_digest`), so the
-//!   JSON is byte-identical across runs and worker counts — only the
-//!   timing fields vary;
-//! * `--no-por` disables partial-order reduction (`Config::por`);
-//! * `--no-dpor` keeps the static POR but disables the per-location
-//!   dynamic refinement (`Config::dpor`);
-//! * `--worker-sweep 1,2,4,8` re-runs the promising side once per
-//!   worker count (work-stealing frontier), asserts the outcome digests
-//!   byte-identical across counts, and emits a per-row `worker_sweep`
-//!   series. Speedup ratios appear only when the host has more than one
-//!   logical core (snapshot-level `cores` / `worker_mode`).
+//! See `promising_bench::runtimes` for what each option does.
 
-use promising_bench::{
-    fmt_duration, host_cpus, json_secs, parse_worker_list, sweep_cell_text, sweep_json,
-    worker_mode, SweepCell, Table,
-};
-use promising_core::{Arch, Machine};
-use promising_explorer::{explore_promise_first_budget, Engine, PromiseFirstModel, SearchBudget};
-use promising_flat::{explore_flat_budget, FlatMachine};
-use promising_workloads::{by_spec, init_for};
-use std::fmt::Write as _;
-use std::time::Duration;
+use promising_bench::cli::{Cli, Opt};
+use promising_bench::runtimes::run_time_table;
 
 /// The Table 3 grid: broader parameterisations per family.
-pub const ROWS: &[&str] = &[
+const ROWS: &[&str] = &[
     "SLA-1",
     "SLA-2",
     "SLA-3",
@@ -76,210 +51,23 @@ pub const ROWS: &[&str] = &[
     "QU(opt)-100-000-000",
 ];
 
-struct Row {
-    spec: String,
-    promising: Option<f64>,
-    p_states: u64,
-    /// [`StopReason::name`] for the promising cell — explains a `null`
-    /// timing ("deadline" vs a resource budget vs "completed").
-    p_stop: &'static str,
-    outcome_count: usize,
-    digest: String,
-    flat: Option<f64>,
-    f_stop: &'static str,
-    sweep: Vec<SweepCell>,
-    sampled: Option<(Option<f64>, usize)>,
-}
+const CLI: Cli = Cli {
+    bin: "table3",
+    opts: &[
+        Opt::Timeout(120),
+        Opt::Json,
+        Opt::WorkerSweep,
+        Opt::Sample,
+        Opt::Seed,
+        Opt::Switch("--no-por"),
+        Opt::Switch("--no-dpor"),
+    ],
+};
 
 fn main() {
-    let mut timeout = Duration::from_secs(120);
-    let mut sample: Option<u64> = None;
-    let mut seed = 0u64;
-    let mut json: Option<String> = None;
-    let mut no_por = false;
-    let mut no_dpor = false;
-    let mut sweep_counts: Vec<usize> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--worker-sweep" => {
-                sweep_counts = parse_worker_list(&it.next().expect("--worker-sweep needs a list"));
-            }
-            "--sample" => {
-                sample = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .expect("--sample needs a trace count"),
-                )
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .expect("--seed needs an integer")
-            }
-            "--json" => json = Some(it.next().expect("--json needs a path")),
-            "--no-por" => no_por = true,
-            "--no-dpor" => no_dpor = true,
-            other => match other.parse::<u64>() {
-                Ok(secs) => timeout = Duration::from_secs(secs),
-                Err(_) => panic!("unknown argument: {other}"),
-            },
-        }
-    }
-    let cores = host_cpus();
-    println!(
-        "Table 3 (Appendix E): full run-time sweep, timeout {}s per cell\n",
-        timeout.as_secs()
+    run_time_table(
+        &CLI,
+        "Table 3 (Appendix E): full run-time sweep in seconds",
+        ROWS,
     );
-    if !sweep_counts.is_empty() {
-        println!(
-            "worker sweep {:?} on {} logical core(s): {} columns\n",
-            sweep_counts,
-            cores,
-            worker_mode(cores)
-        );
-    }
-    let budget = SearchBudget::deadline(Some(timeout));
-    let mut header: Vec<String> = ["Test", "Promising", "Flat"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    for w in &sweep_counts {
-        header.push(format!("Sweep-w{w}"));
-    }
-    if sample.is_some() {
-        header.push("Sampled".to_string());
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(&header_refs);
-    let mut rows: Vec<Row> = Vec::new();
-    for spec in ROWS {
-        let Some(w) = by_spec(spec) else {
-            eprintln!("skipping unparseable spec {spec}");
-            continue;
-        };
-        let init = init_for(&w);
-        let m = Machine::with_init(
-            w.program.clone(),
-            w.config(Arch::Arm).with_por(!no_por).with_dpor(!no_dpor),
-            init.clone(),
-        );
-        let p = explore_promise_first_budget(&m, budget);
-        let p_time = (!p.stats.truncated()).then_some(p.stats.wall_time.as_secs_f64());
-        let sweep: Vec<SweepCell> = sweep_counts
-            .iter()
-            .map(|&n| {
-                let mw = Machine::with_init(
-                    w.program.clone(),
-                    w.config(Arch::Arm)
-                        .with_por(!no_por)
-                        .with_dpor(!no_dpor)
-                        .with_workers(n),
-                    init.clone(),
-                );
-                let e = explore_promise_first_budget(&mw, budget);
-                if !e.stats.truncated() && !p.stats.truncated() {
-                    assert_eq!(
-                        e.outcomes_digest(),
-                        p.outcomes_digest(),
-                        "{spec}: {n}-worker outcome digest must be byte-identical to serial"
-                    );
-                }
-                SweepCell {
-                    workers: n,
-                    secs: (!e.stats.truncated()).then_some(e.stats.wall_time.as_secs_f64()),
-                    steals: e.stats.steals,
-                }
-            })
-            .collect();
-        let fm = FlatMachine::with_init(
-            w.program.clone(),
-            w.config_unshared(Arch::Arm)
-                .with_por(!no_por)
-                .with_dpor(!no_dpor),
-            init,
-        );
-        let f = explore_flat_budget(&fm, budget);
-        let f_time = (!f.stats.truncated()).then_some(f.stats.wall_time.as_secs_f64());
-        let fmt_cell = |c: Option<f64>| fmt_duration(c.map(Duration::from_secs_f64));
-        let mut cells = vec![spec.to_string(), fmt_cell(p_time), fmt_cell(f_time)];
-        let sweep_base = sweep.iter().find(|c| c.workers == 1).and_then(|c| c.secs);
-        for c in &sweep {
-            cells.push(sweep_cell_text(c, sweep_base, cores));
-        }
-        let sampled = sample.map(|n| {
-            let s = Engine::new(PromiseFirstModel::new(&m))
-                .with_budget(budget)
-                .sample(n, seed);
-            if !p.stats.truncated() {
-                assert!(
-                    s.outcomes.is_subset(&p.outcomes),
-                    "{spec}: sampled outcomes must be a subset of exhaustive"
-                );
-            }
-            let cell = (!s.stats.truncated()).then_some(s.stats.wall_time.as_secs_f64());
-            cells.push(format!("{} ({} outc.)", fmt_cell(cell), s.outcomes.len()));
-            (cell, s.outcomes.len())
-        });
-        table.row(&cells);
-        eprintln!(
-            "  {spec}: promising {} flat {}",
-            fmt_cell(p_time),
-            fmt_cell(f_time)
-        );
-        rows.push(Row {
-            spec: spec.to_string(),
-            promising: p_time,
-            p_states: p.stats.states,
-            p_stop: p.stats.stop.name(),
-            outcome_count: p.outcomes.len(),
-            digest: p.outcomes_digest(),
-            flat: f_time,
-            f_stop: f.stats.stop.name(),
-            sweep,
-            sampled,
-        });
-    }
-    println!("{}", table.render());
-
-    if let Some(path) = &json {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"suite\": \"table3\",");
-        let _ = writeln!(out, "  \"timeout_secs\": {},", timeout.as_secs());
-        let _ = writeln!(out, "  \"cores\": {cores},");
-        let _ = writeln!(out, "  \"worker_mode\": \"{}\",", worker_mode(cores));
-        let _ = writeln!(out, "  \"por\": {},", !no_por);
-        let _ = writeln!(out, "  \"dpor\": {},", !no_dpor);
-        let _ = writeln!(out, "  \"rows\": [");
-        for (i, r) in rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"test\": \"{}\", \"promising_secs\": {}, \"promising_states\": {}, \"promising_stop\": \"{}\", \"outcome_count\": {}, \"outcomes_digest\": \"{}\", \"flat_secs\": {}, \"flat_stop\": \"{}\"",
-                r.spec,
-                json_secs(r.promising),
-                r.p_states,
-                r.p_stop,
-                r.outcome_count,
-                r.digest,
-                json_secs(r.flat),
-                r.f_stop,
-            );
-            let _ = write!(out, "{}", sweep_json(&r.sweep, cores));
-            if let Some((cell, outcomes)) = &r.sampled {
-                let _ = write!(
-                    out,
-                    ", \"sample_secs\": {}, \"sample_outcomes\": {}",
-                    json_secs(*cell),
-                    outcomes
-                );
-            }
-            let _ = writeln!(out, "}}{}", if i + 1 < rows.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = write!(out, "}}");
-        std::fs::write(path, out).expect("write json snapshot");
-        println!("wrote {path}");
-    }
 }

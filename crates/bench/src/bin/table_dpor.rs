@@ -1,51 +1,65 @@
-//! Experiment DPOR (PR 6): measure the per-location dynamic reduction —
-//! visited states with `Config::dpor` on vs off, with `Config::por` on in
-//! *both* cells, so the off side is exactly the PR 5 static-observer POR
-//! and the ratio isolates what the per-location refinement adds.
+//! Reduction ablation: visited states of the naive promising search and
+//! the Flat-lite baseline under three settings per row —
 //!
-//! Rows come in the same two groups as `table_por`:
+//! * **off**: no partial-order reduction (`Config::por` and
+//!   `Config::dpor` off);
+//! * **static** (`states_base`): the static observer POR alone (`por`
+//!   on, `dpor` off);
+//! * **static+dynamic** (`states_dpor`): the per-location dynamic layer
+//!   on top (both on, the default).
 //!
-//! * the **Table-2 heavy rows** (SLC-2, STC, STR, QU) — append-bound
-//!   workloads where the static reduction recorded 1.0x. The dynamic
-//!   reduction attacks them from two sides: the flat model's canonical
-//!   per-location state encoding merges interleavings that differ only
-//!   in the global order of appends to disjoint locations, and the
-//!   naive model's restricted-fingerprint `CertMemo` keys let a
-//!   thread's certification survive sibling appends to locations
-//!   outside its may-access scope (the `survived` counter);
-//! * **read-parallel rows** — the IRIW-style shapes the static POR
-//!   already collapses. These are regression guards: the dynamic
-//!   delayable-thread rule strictly contains the pure-observer rule,
-//!   so the dpor cell must stay within noise of the PR 5 cell.
+//! The off→static ratio (`reduction_static`) measures what the static
+//! POR prunes; the static→dynamic ratio (`reduction`) what the dynamic
+//! layer adds. Rows come in two groups:
 //!
-//! Usage:
+//! * the **Table-2 heavy rows** (SLC-2, STC, STR, QU) are append-bound:
+//!   every thread keeps writing a contended location until it retires,
+//!   and appends to the total order of memory never commute under the
+//!   static POR, so it prunes nothing there (off→static is 1.0x). The
+//!   dynamic layer attacks them from two sides: the flat model's
+//!   canonical per-location state encoding merges interleavings that
+//!   differ only in the global order of appends to disjoint locations,
+//!   and the naive model's restricted-fingerprint `CertMemo` keys let a
+//!   thread's certification survive sibling appends to locations outside
+//!   its may-access scope (the `survived` counter);
+//! * **read-parallel rows** — IRIW-style multi-observer shapes (the
+//!   catalogue entries plus `RF-n-k` fan-outs: one writer of `k`
+//!   locations, `n` pure-reader threads), where co-enabled observers
+//!   collapse multiplicatively under the static POR. The dynamic
+//!   delayable-thread rule strictly contains the pure-observer rule, so
+//!   the static→dynamic ratio is a regression guard here: it must stay
+//!   at or above 1.0x.
 //!
 //! ```text
 //! cargo run --release -p promising-bench --bin table_dpor -- \
 //!     [timeout-secs] [--json PATH] [--worker-sweep N,M,..]
 //! ```
 //!
-//! Outcome sets are asserted identical dpor-on vs dpor-off on every row
-//! that completes both sides (the process exits non-zero otherwise).
+//! The three cells' outcome sets are checked equal on every row (among
+//! the cells that complete); the process exits non-zero otherwise.
 //!
-//! `--worker-sweep 1,2,4,8` re-runs each *flat* dpor-on cell once per
-//! worker count over the work-stealing frontier, asserting the outcome
-//! set identical to the serial cell, and emits a per-row `worker_sweep`
-//! series in the JSON. The snapshot-level `cores`/`worker_mode` pair
-//! says how to read it: speedup ratios are only printed when the host
-//! has more than one logical core.
+//! `--worker-sweep 1,2,4,8` re-runs each *flat* static+dynamic cell once
+//! per worker count over the work-stealing frontier, asserting the
+//! outcome set identical to the serial cell, and emits a per-row
+//! `worker_sweep` series in the JSON. The snapshot-level
+//! `cores`/`worker_mode` pair says how to read it: speedup ratios are
+//! only printed when the host has more than one logical core.
 
-use promising_bench::{
-    host_cpus, parse_worker_list, sweep_cell_text, sweep_json, worker_mode, SweepCell, Table,
-};
-use promising_core::{Arch, CodeBuilder, Config, Expr, Machine, Program, Reg};
+use promising_bench::cli::{Cli, Opt};
+use promising_bench::{host_cpus, sweep_cell_text, sweep_json, worker_mode, SweepCell, Table};
+use promising_core::{Arch, CodeBuilder, Config, Expr, Loc, Machine, Program, Reg, Val};
 use promising_explorer::{explore_naive_budget, CertMode, Exploration, SearchBudget};
 use promising_flat::{explore_flat_budget, FlatMachine};
 use promising_litmus::{catalogue, DEFAULT_FUEL};
 use promising_workloads::{by_spec, init_for};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Duration;
+
+const CLI: Cli = Cli {
+    bin: "table_dpor",
+    opts: &[Opt::Timeout(60), Opt::Json, Opt::WorkerSweep],
+};
 
 /// The Table-2 heavy rows (append-bound — see the module docs).
 const HEAVY: &[&str] = &[
@@ -58,9 +72,9 @@ const HEAVY: &[&str] = &[
     "QU-100-010-000",
 ];
 
-/// Read-parallel fan-outs: (readers, locations-each), matching
-/// `table_por` so the regression check lines up row-for-row with
-/// `BENCH_por.json`.
+/// Read-parallel fan-outs: (readers, locations-each). The observer
+/// collapse compounds in the reader count — the off cell grows by the
+/// full multinomial of reader interleavings, the static cell by a sum.
 const FANOUTS: &[(usize, usize)] = &[
     (2, 2),
     (3, 2),
@@ -72,30 +86,55 @@ const FANOUTS: &[(usize, usize)] = &[
     (6, 2),
 ];
 
+/// `config` under the three reduction settings: off, static,
+/// static+dynamic.
+fn settings(config: &Config) -> [Config; 3] {
+    [(false, false), (true, false), (true, true)]
+        .map(|(por, dpor)| config.clone().with_por(por).with_dpor(dpor))
+}
+
 struct Row {
     name: String,
     model: &'static str,
     group: &'static str,
-    /// Visited states with por on, dpor on.
-    states_dpor: u64,
-    /// Visited states with por on, dpor off — the PR 5 baseline.
-    states_base: u64,
-    pruned: u64,
-    cert_hits: u64,
-    cert_misses: u64,
-    cert_survived: u64,
-    stop_dpor: &'static str,
-    stop_base: &'static str,
-    truncated: bool,
-    equal: bool,
-    /// `--worker-sweep` series for the dpor-on cell (flat rows only;
-    /// empty when the sweep was not requested or does not apply).
+    /// The off, static and static+dynamic cells, in [`settings`] order.
+    cells: [Exploration; 3],
+    /// `--worker-sweep` series for the static+dynamic cell (flat rows
+    /// only; empty when the sweep was not requested or does not apply).
     sweep: Vec<SweepCell>,
 }
 
 impl Row {
-    fn reduction(&self) -> f64 {
-        self.states_base as f64 / self.states_dpor.max(1) as f64
+    fn states(&self, i: usize) -> u64 {
+        self.cells[i].stats.states
+    }
+
+    /// States of cell `from` over states of cell `to`; `None` unless
+    /// both completed.
+    fn ratio(&self, from: usize, to: usize) -> Option<f64> {
+        (!self.cells[from].stats.truncated() && !self.cells[to].stats.truncated())
+            .then(|| self.states(from) as f64 / self.states(to).max(1) as f64)
+    }
+
+    /// Off → static.
+    fn static_reduction(&self) -> Option<f64> {
+        self.ratio(0, 1)
+    }
+
+    /// Static → static+dynamic.
+    fn dynamic_reduction(&self) -> Option<f64> {
+        self.ratio(1, 2)
+    }
+
+    fn truncated(&self) -> bool {
+        self.cells.iter().any(|c| c.stats.truncated())
+    }
+
+    /// Whether every completed cell found the same outcomes.
+    fn outcomes_equal(&self) -> bool {
+        let mut done = self.cells.iter().filter(|c| !c.stats.truncated());
+        let first = done.next();
+        done.all(|c| Some(&c.outcomes) == first.map(|f| &f.outcomes))
     }
 }
 
@@ -116,33 +155,27 @@ fn fanout_program(readers: usize, locs: usize) -> Arc<Program> {
     Arc::new(Program::new(threads))
 }
 
+/// Geometric mean of the completed rows' ratios; `None` when every row
+/// of the group was truncated (the JSON emits `null` then — never a
+/// bare NaN token).
+fn geo_mean(ratios: impl Iterator<Item = Option<f64>>) -> Option<f64> {
+    let ratios: Vec<f64> = ratios.flatten().collect();
+    (!ratios.is_empty())
+        .then(|| (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp())
+}
+
 fn main() {
-    let mut timeout = Duration::from_secs(60);
-    let mut json: Option<String> = None;
-    let mut sweep_counts: Vec<usize> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = Some(it.next().expect("--json needs a path")),
-            "--worker-sweep" => {
-                sweep_counts = parse_worker_list(&it.next().expect("--worker-sweep needs a list"));
-            }
-            other => match other.parse::<u64>() {
-                Ok(secs) => timeout = Duration::from_secs(secs),
-                Err(_) => panic!("unknown argument: {other}"),
-            },
-        }
-    }
+    let args = CLI.args();
     let cores = host_cpus();
-    let budget = SearchBudget::deadline(Some(timeout));
+    let budget = SearchBudget::deadline(Some(args.timeout));
     println!(
-        "DPOR ablation: visited states with Config::dpor on vs off, por on in both ({}s per cell)\n",
-        timeout.as_secs()
+        "Reduction ablation: visited states with POR off, static, static+dynamic ({}s per cell)\n",
+        args.timeout.as_secs()
     );
-    if !sweep_counts.is_empty() {
+    if !args.worker_sweep.is_empty() {
         println!(
             "worker sweep {:?} on {} logical core(s): {} columns\n",
-            sweep_counts,
+            args.worker_sweep,
             cores,
             worker_mode(cores)
         );
@@ -152,140 +185,79 @@ fn main() {
     let mut measure = |name: String,
                        model: &'static str,
                        group: &'static str,
-                       on: Exploration,
-                       off: Exploration,
+                       cells: [Exploration; 3],
                        sweep: Vec<SweepCell>| {
-        let truncated = on.stats.truncated() || off.stats.truncated();
         let row = Row {
-            name: name.clone(),
+            name,
             model,
             group,
-            states_dpor: on.stats.states,
-            states_base: off.stats.states,
-            pruned: on.stats.por_pruned,
-            cert_hits: on.stats.cert_hits,
-            cert_misses: on.stats.cert_misses,
-            cert_survived: on.stats.cert_survived,
-            stop_dpor: on.stats.stop.name(),
-            stop_base: off.stats.stop.name(),
-            truncated,
-            equal: truncated || on.outcomes == off.outcomes,
+            cells,
             sweep,
         };
         eprintln!(
-            "  {model} {name}: {} -> {} states ({:.2}x), {} survived{}",
-            row.states_base,
-            row.states_dpor,
-            row.reduction(),
-            row.cert_survived,
-            if truncated { " [truncated]" } else { "" }
+            "  {model} {}: {} -> {} -> {} states, {} survived{}",
+            row.name,
+            row.states(0),
+            row.states(1),
+            row.states(2),
+            row.cells[2].stats.cert_survived,
+            if row.truncated() { " [truncated]" } else { "" }
         );
         rows.push(row);
     };
 
-    // Both cells run with por on; only dpor differs.
-    type Init = std::collections::BTreeMap<promising_core::Loc, promising_core::Val>;
-    let naive_pair = |program: &Arc<Program>, config: Config, init: &Init| {
-        let on = explore_naive_budget(
-            &Machine::with_init(
-                Arc::clone(program),
-                config.clone().with_por(true).with_dpor(true),
-                init.clone(),
-            ),
-            CertMode::Online,
-            budget,
-        );
-        let off = explore_naive_budget(
-            &Machine::with_init(
-                Arc::clone(program),
-                config.with_por(true).with_dpor(false),
-                init.clone(),
-            ),
-            CertMode::Online,
-            budget,
-        );
-        (on, off)
+    let naive_cells = |program: &Arc<Program>, config: Config, init: &BTreeMap<Loc, Val>| {
+        settings(&config).map(|c| {
+            let m = Machine::with_init(Arc::clone(program), c, init.clone());
+            explore_naive_budget(&m, CertMode::Online, budget)
+        })
     };
-    let flat_pair = |name: &str, program: &Arc<Program>, config: Config, init: &Init| {
-        let on = explore_flat_budget(
-            &FlatMachine::with_init(
-                Arc::clone(program),
-                config.clone().with_por(true).with_dpor(true),
-                init.clone(),
-            ),
-            budget,
-        );
-        let sweep: Vec<SweepCell> = sweep_counts
-            .iter()
-            .map(|&n| {
-                let e = explore_flat_budget(
-                    &FlatMachine::with_init(
-                        Arc::clone(program),
-                        config
-                            .clone()
-                            .with_por(true)
-                            .with_dpor(true)
-                            .with_workers(n),
-                        init.clone(),
-                    ),
-                    budget,
-                );
-                if !e.stats.truncated() && !on.stats.truncated() {
-                    assert_eq!(
-                        e.outcomes, on.outcomes,
-                        "{name}: {n}-worker and serial flat outcome sets must agree"
-                    );
-                }
-                SweepCell {
-                    workers: n,
-                    secs: (!e.stats.truncated()).then_some(e.stats.wall_time.as_secs_f64()),
-                    steals: e.stats.steals,
-                }
-            })
-            .collect();
-        let off = explore_flat_budget(
-            &FlatMachine::with_init(
-                Arc::clone(program),
-                config.with_por(true).with_dpor(false),
-                init.clone(),
-            ),
-            budget,
-        );
-        (on, off, sweep)
-    };
+    let flat_cells =
+        |name: &str, program: &Arc<Program>, config: Config, init: &BTreeMap<Loc, Val>| {
+            let flat = |c: Config| {
+                let m = FlatMachine::with_init(Arc::clone(program), c, init.clone());
+                explore_flat_budget(&m, budget)
+            };
+            let [off, base, on] = settings(&config);
+            let cells = [flat(off), flat(base), flat(on.clone())];
+            let sweep = args
+                .worker_sweep
+                .iter()
+                .map(|&n| {
+                    let e = flat(on.clone().with_workers(n));
+                    if !e.stats.truncated() && !cells[2].stats.truncated() {
+                        assert_eq!(
+                            e.outcomes, cells[2].outcomes,
+                            "{name}: {n}-worker and serial flat outcome sets must agree"
+                        );
+                    }
+                    SweepCell {
+                        workers: n,
+                        secs: (!e.stats.truncated()).then_some(e.stats.wall_time.as_secs_f64()),
+                        steals: e.stats.steals,
+                    }
+                })
+                .collect();
+            (cells, sweep)
+        };
 
     for spec in HEAVY {
         let w = by_spec(spec).expect("heavy row spec parses");
         let init = init_for(&w);
-        let (on, off) = naive_pair(&w.program, w.config(Arch::Arm), &init);
-        measure(
-            spec.to_string(),
-            "naive",
-            "table2-heavy",
-            on,
-            off,
-            Vec::new(),
-        );
-        let (f_on, f_off, f_sweep) =
-            flat_pair(spec, &w.program, w.config_unshared(Arch::Arm), &init);
-        measure(
-            spec.to_string(),
-            "flat",
-            "table2-heavy",
-            f_on,
-            f_off,
-            f_sweep,
-        );
+        let cells = naive_cells(&w.program, w.config(Arch::Arm), &init);
+        measure(spec.to_string(), "naive", "table2-heavy", cells, Vec::new());
+        let (cells, sweep) = flat_cells(spec, &w.program, w.config_unshared(Arch::Arm), &init);
+        measure(spec.to_string(), "flat", "table2-heavy", cells, sweep);
     }
 
-    let no_init = Init::new();
+    let no_init = BTreeMap::new();
     for &(readers, locs) in FANOUTS {
         let name = format!("RF-{readers}-{locs}");
         let program = fanout_program(readers, locs);
-        let (on, off) = naive_pair(&program, Config::arm(), &no_init);
-        measure(name.clone(), "naive", "read-parallel", on, off, Vec::new());
-        let (f_on, f_off, f_sweep) = flat_pair(&name, &program, Config::arm(), &no_init);
-        measure(name, "flat", "read-parallel", f_on, f_off, f_sweep);
+        let cells = naive_cells(&program, Config::arm(), &no_init);
+        measure(name.clone(), "naive", "read-parallel", cells, Vec::new());
+        let (cells, sweep) = flat_cells(&name, &program, Config::arm(), &no_init);
+        measure(name, "flat", "read-parallel", cells, sweep);
     }
 
     for t in catalogue() {
@@ -293,52 +265,47 @@ fn main() {
             continue;
         }
         let config = Config::for_arch(t.arch).with_loop_fuel(t.loop_fuel.unwrap_or(DEFAULT_FUEL));
-        let (on, off) = naive_pair(&t.program, config, &t.init);
-        measure(
-            t.name.clone(),
-            "naive",
-            "read-parallel",
-            on,
-            off,
-            Vec::new(),
-        );
+        let cells = naive_cells(&t.program, config, &t.init);
+        measure(t.name.clone(), "naive", "read-parallel", cells, Vec::new());
     }
 
     let mut header: Vec<String> = [
         "Test",
         "Model",
         "Group",
+        "States-off",
         "States-base",
         "States-dpor",
-        "Reduction",
+        "Static",
+        "Dynamic",
         "Pruned",
         "Cert h/m/surv",
     ]
     .iter()
     .map(|s| s.to_string())
     .collect();
-    for w in &sweep_counts {
-        header.push(format!("Sweep-w{w}"));
-    }
+    header.extend(args.worker_sweep.iter().map(|w| format!("Sweep-w{w}")));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = Table::new(&header_refs);
+    let fmt_ratio = |r: Option<f64>| r.map_or("ooT".to_string(), |r| format!("{r:.2}x"));
     for r in &rows {
-        let mut cells = vec![
-            r.name.clone(),
-            r.model.to_string(),
-            r.group.to_string(),
-            r.states_base.to_string(),
-            if r.truncated {
-                format!("{} (ooT)", r.states_dpor)
+        let on = &r.cells[2].stats;
+        let mut cells = vec![r.name.clone(), r.model.to_string(), r.group.to_string()];
+        cells.extend(r.cells.iter().map(|c| {
+            if c.stats.truncated() {
+                format!("{} (ooT)", c.stats.states)
             } else {
-                r.states_dpor.to_string()
-            },
-            format!("{:.2}x", r.reduction()),
-            r.pruned.to_string(),
-            format!("{}/{}/{}", r.cert_hits, r.cert_misses, r.cert_survived),
-        ];
+                c.stats.states.to_string()
+            }
+        }));
+        cells.extend([
+            fmt_ratio(r.static_reduction()),
+            fmt_ratio(r.dynamic_reduction()),
+            on.por_pruned.to_string(),
+            format!("{}/{}/{}", on.cert_hits, on.cert_misses, on.cert_survived),
+        ]);
         let sweep_base = r.sweep.iter().find(|c| c.workers == 1).and_then(|c| c.secs);
-        for w in &sweep_counts {
+        for w in &args.worker_sweep {
             cells.push(match r.sweep.iter().find(|c| c.workers == *w) {
                 Some(c) => sweep_cell_text(c, sweep_base, cores),
                 None => "-".to_string(),
@@ -348,97 +315,101 @@ fn main() {
     }
     println!("{}", table.render());
 
-    // `None` = every row of the group was truncated, nothing to average
-    // (the JSON emits `null` then — never a bare NaN token).
-    let mean = |group: &str, model: Option<&str>| -> Option<f64> {
-        let ratios: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.group == group && !r.truncated && model.is_none_or(|m| r.model == m))
-            .map(Row::reduction)
-            .collect();
-        if ratios.is_empty() {
-            return None;
-        }
-        Some((ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp())
+    let mean = |ratio: fn(&Row) -> Option<f64>, group: &str, model: Option<&str>| {
+        geo_mean(
+            rows.iter()
+                .filter(|r| r.group == group && model.is_none_or(|m| r.model == m))
+                .map(ratio),
+        )
     };
-    let fmt_mean = |m: Option<f64>| match m {
-        Some(m) => format!("{m:.2}x"),
-        None => "- (all rows truncated)".to_string(),
-    };
-    let heavy_mean = mean("table2-heavy", None);
-    let heavy_flat = mean("table2-heavy", Some("flat"));
-    let rp_mean = mean("read-parallel", None);
-    println!("geometric-mean state reduction over the PR 5 POR (completed rows):");
+    let means = [
+        (
+            "mean_reduction_static_table2_heavy",
+            mean(Row::static_reduction, "table2-heavy", None),
+        ),
+        (
+            "mean_reduction_static_read_parallel",
+            mean(Row::static_reduction, "read-parallel", None),
+        ),
+        (
+            "mean_reduction_table2_heavy",
+            mean(Row::dynamic_reduction, "table2-heavy", None),
+        ),
+        (
+            "mean_reduction_table2_heavy_flat",
+            mean(Row::dynamic_reduction, "table2-heavy", Some("flat")),
+        ),
+        (
+            "mean_reduction_read_parallel",
+            mean(Row::dynamic_reduction, "read-parallel", None),
+        ),
+    ];
+    let fmt_mean =
+        |m: Option<f64>| m.map_or("- (all rows truncated)".to_string(), |m| format!("{m:.2}x"));
+    println!("geometric-mean state reductions (completed rows):");
     println!(
-        "  table2-heavy:  {} (flat {})",
-        fmt_mean(heavy_mean),
-        fmt_mean(heavy_flat)
+        "  off -> static:     table2-heavy {}, read-parallel {}",
+        fmt_mean(means[0].1),
+        fmt_mean(means[1].1)
     );
     println!(
-        "  read-parallel: {} (regression guard: must stay ~1.0x or better)",
-        fmt_mean(rp_mean)
+        "  static -> dynamic: table2-heavy {} (flat {}), read-parallel {} (regression guard: ~1.0x or better)",
+        fmt_mean(means[2].1),
+        fmt_mean(means[3].1),
+        fmt_mean(means[4].1)
     );
 
-    let mismatches: Vec<&Row> = rows.iter().filter(|r| !r.equal).collect();
+    let mismatches: Vec<&Row> = rows.iter().filter(|r| !r.outcomes_equal()).collect();
     for r in &mismatches {
         eprintln!(
-            "MISMATCH: {} {}: dpor-on and dpor-off outcome sets differ",
+            "MISMATCH: {} {}: the off, static and static+dynamic outcome sets differ",
             r.model, r.name
         );
     }
 
-    if let Some(path) = &json {
+    if let Some(path) = &args.json {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"suite\": \"table_dpor\",");
-        let _ = writeln!(out, "  \"timeout_secs\": {},", timeout.as_secs());
+        let _ = writeln!(out, "  \"timeout_secs\": {},", args.timeout.as_secs());
         let _ = writeln!(out, "  \"cores\": {cores},");
         let _ = writeln!(out, "  \"worker_mode\": \"{}\",", worker_mode(cores));
-        let json_mean = |m: Option<f64>| match m {
-            Some(m) => format!("{m:.4}"),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "  \"mean_reduction_table2_heavy\": {},",
-            json_mean(heavy_mean)
-        );
-        let _ = writeln!(
-            out,
-            "  \"mean_reduction_table2_heavy_flat\": {},",
-            json_mean(heavy_flat)
-        );
-        let _ = writeln!(
-            out,
-            "  \"mean_reduction_read_parallel\": {},",
-            json_mean(rp_mean)
-        );
+        for (key, m) in means {
+            let value = m.map_or("null".to_string(), |m| format!("{m:.4}"));
+            let _ = writeln!(out, "  \"{key}\": {value},");
+        }
         let _ = writeln!(out, "  \"rows\": [");
+        let json_ratio = |r: Option<f64>| r.map_or("null".to_string(), |r| format!("{r:.4}"));
         for (i, r) in rows.iter().enumerate() {
+            let [off, base, on] = &r.cells;
             let _ = write!(
                 out,
-                "    {{\"test\": \"{}\", \"model\": \"{}\", \"group\": \"{}\", \"states_base\": {}, \"states_dpor\": {}, \"reduction\": {:.4}, \"por_pruned\": {}, \"cert_hits\": {}, \"cert_misses\": {}, \"cert_survived\": {}, \"stop_dpor\": \"{}\", \"stop_base\": \"{}\", \"truncated\": {}, \"outcomes_equal\": {}",
+                "    {{\"test\": \"{}\", \"model\": \"{}\", \"group\": \"{}\", \"states_off\": {}, \"states_base\": {}, \"states_dpor\": {}, \"reduction_static\": {}, \"reduction\": {}, \"por_pruned\": {}, \"cert_hits\": {}, \"cert_misses\": {}, \"cert_survived\": {}, \"stop_off\": \"{}\", \"stop_base\": \"{}\", \"stop_dpor\": \"{}\", \"truncated\": {}, \"outcomes_equal\": {}",
                 r.name,
                 r.model,
                 r.group,
-                r.states_base,
-                r.states_dpor,
-                r.reduction(),
-                r.pruned,
-                r.cert_hits,
-                r.cert_misses,
-                r.cert_survived,
-                r.stop_dpor,
-                r.stop_base,
-                r.truncated,
-                r.equal,
+                off.stats.states,
+                base.stats.states,
+                on.stats.states,
+                json_ratio(r.static_reduction()),
+                json_ratio(r.dynamic_reduction()),
+                on.stats.por_pruned,
+                on.stats.cert_hits,
+                on.stats.cert_misses,
+                on.stats.cert_survived,
+                off.stats.stop.name(),
+                base.stats.stop.name(),
+                on.stats.stop.name(),
+                r.truncated(),
+                r.outcomes_equal(),
             );
-            let _ = write!(out, "{}", sweep_json(&r.sweep, cores));
+            out.push_str(&sweep_json(&r.sweep, cores));
             let _ = writeln!(out, "}}{}", if i + 1 < rows.len() { "," } else { "" });
         }
         let _ = writeln!(out, "  ]");
         let _ = write!(out, "}}");
-        std::fs::write(path, out).expect("write json snapshot");
+        std::fs::write(path, out)
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {path}: {e}")));
         println!("wrote {path}");
     }
 

@@ -17,55 +17,34 @@
 //! * `--catalogue-only` — skip the generated suite entirely;
 //! * `--json PATH` — write a machine-readable snapshot.
 
+use promising_bench::cli::{Cli, Opt};
+use promising_bench::corpus::lang_corpus;
 use promising_bench::{host_cpus, Table};
 use promising_core::Arch;
-use promising_litmus::{
-    check_lang_conformance, generate_lang_subsample, generate_lang_suite, lang_catalogue,
-    Expectation, LangTest, ModelKind,
-};
+use promising_litmus::{check_lang_conformance, lang_catalogue, Expectation, ModelKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const MODELS: [ModelKind; 3] = [ModelKind::Promising, ModelKind::Axiomatic, ModelKind::Flat];
 
-fn main() {
-    let mut subsample: Option<usize> = None;
-    let mut catalogue_only = false;
-    let mut json: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--subsample" => {
-                subsample = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .expect("--subsample needs a stride"),
-                )
-            }
-            "--catalogue-only" => catalogue_only = true,
-            "--json" => json = Some(it.next().expect("--json needs a path")),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
+const CLI: Cli = Cli {
+    bin: "table_lang",
+    opts: &[Opt::Subsample, Opt::Switch("--catalogue-only"), Opt::Json],
+};
 
-    let mut corpus: Vec<(bool, LangTest)> =
-        lang_catalogue().into_iter().map(|t| (true, t)).collect();
-    if !catalogue_only {
-        let have: std::collections::BTreeSet<String> =
-            corpus.iter().map(|(_, t)| t.name.clone()).collect();
-        let generated = match subsample {
-            Some(stride) => generate_lang_subsample(stride, 0),
-            None => generate_lang_suite(),
-        };
-        // part (c) of the generated suite re-derives some named RMW
-        // catalogue shapes; keep one row per name
-        corpus.extend(
-            generated
-                .into_iter()
-                .filter(|t| !have.contains(&t.name))
-                .map(|t| (false, t)),
-        );
+fn main() {
+    let args = CLI.args();
+    // The named catalogue comes first in the corpus, in full.
+    let named = lang_catalogue().len();
+    let mut corpus = lang_corpus(args.subsample);
+    if args.switch("--catalogue-only") {
+        corpus.truncate(named);
     }
+    let corpus: Vec<_> = corpus
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| (i < named, t))
+        .collect();
 
     let start = Instant::now();
     let mut table = Table::new(&[
@@ -161,7 +140,7 @@ fn main() {
         start.elapsed().as_secs_f64()
     );
 
-    if let Some(path) = json {
+    if let Some(path) = args.json {
         let body = format!(
             "{{\"total\":{},\"cores\":{},\"secs\":{:.3},\"rows\":[\n{}\n]}}\n",
             corpus.len(),
@@ -169,7 +148,8 @@ fn main() {
             start.elapsed().as_secs_f64(),
             json_rows.join(",\n")
         );
-        std::fs::write(&path, body).expect("write json snapshot");
+        std::fs::write(&path, body)
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {path}: {e}")));
         println!("wrote {path}");
     }
 

@@ -1,20 +1,12 @@
-//! The pre-optimisation ("clone-heavy") exploration strategies, kept as a
-//! measurable baseline for the perf-trajectory snapshots.
+//! The seed's promise-first search (§7), kept as an independent test
+//! reference: `tests/state_layer.rs` checks that the generic engine's
+//! promise-first strategy reproduces its outcome sets and final-memory
+//! counts on the whole litmus catalogue.
 //!
-//! These reproduce the seed implementation's cost model, which the
-//! structural-sharing rework removed from the real explorers:
-//!
-//! * every transition **deep-clones** the whole machine
-//!   ([`Machine::deep_clone`] forces copies of every `Arc`-shared
-//!   component, as `Machine::clone` did before the rework);
-//! * visited sets and memo tables are keyed by **exact state clones**
-//!   (full `O(state)` hash and compare per lookup) instead of 128-bit
-//!   fingerprints;
-//! * certification memo tables are **per-call** — nothing is shared
-//!   across sibling branches.
-//!
-//! Correctness is unchanged — `table2 --legacy` cross-checks the outcome
-//! sets against the optimised explorers on every row it completes.
+//! It shares no search code with `promising_explorer`: its own loop,
+//! visited sets and memo tables keyed by exact state clones rather than
+//! fingerprints, and certification memos that are per call rather than
+//! shared across sibling branches. No benchmark times it.
 
 use promising_core::ids::TId;
 use promising_core::stmt::SCRATCH_REG_BASE;
@@ -24,57 +16,25 @@ use promising_core::{
     apply_step, enabled_steps, Machine, Memory, Msg, StepEvent, ThreadInstance, Timestamp,
     Transition, TransitionKind,
 };
-use promising_explorer::{Exploration, Outcome, Stats, StopReason};
+use promising_explorer::{Exploration, Outcome, Stats};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 type RegMap = BTreeMap<Reg, Val>;
 
-/// How many explored nodes between wall-clock deadline checks in the
-/// legacy engines (the deadline is a measurement guard, not part of the
-/// reproduced cost model).
-const LEGACY_DEADLINE_CHECK_PERIOD: u64 = 256;
-
-/// The seed's `find_and_certify` with its original cost model: a
-/// per-call memo keyed by *exact* `(thread, memory)` clones, a deep
-/// per-node clone of both thread and memory, and the certified-first-
-/// steps re-expansion the seed's promise enumeration always paid for.
-/// Sets `cut` (with an under-approximate result) past `deadline`.
-fn legacy_promisable(
-    m: &Machine,
-    tid: TId,
-    deadline: Option<Instant>,
-    cut: &mut bool,
-) -> BTreeSet<Msg> {
-    let code = &m.program().threads()[tid.0];
+/// The seed's `find_and_certify`: the messages `tid` can promise, from a
+/// bounded search of its own steps with a per-call memo keyed by exact
+/// `(thread, memory)` clones.
+fn legacy_promisable(m: &Machine, tid: TId) -> BTreeSet<Msg> {
     let mut engine = LegacyCertEngine {
         m,
-        code,
+        code: &m.program().threads()[tid.0],
         tid,
         base_ts: m.memory().max_timestamp(),
         memo: HashMap::new(),
-        deadline,
-        cut: false,
-        ticks: 0,
     };
-    let depth = m.config().cert_depth;
-    let (_, promisable) = engine.explore(m.thread(tid), m.memory(), depth);
-    // The seed's callers went through the full `find_and_certify`, which
-    // also derived the certified first steps from the warm memo.
-    let config = m.config();
-    for kind in enabled_steps(config, code, tid, m.thread(tid), m.memory()) {
-        if engine.cut {
-            break;
-        }
-        let mut th = m.thread(tid).clone();
-        th.unshare();
-        let mut mem = m.memory().clone();
-        mem.unshare();
-        apply_step(config, code, tid, &kind, &mut th, &mut mem).expect("enabled step must apply");
-        let _ = engine.explore(&th, &mem, depth.saturating_sub(1));
-    }
-    *cut |= engine.cut;
+    let (_, promisable) = engine.explore(m.thread(tid), m.memory(), m.config().cert_depth);
     promisable
 }
 
@@ -84,62 +44,29 @@ struct LegacyCertEngine<'a> {
     tid: TId,
     base_ts: Timestamp,
     memo: HashMap<(ThreadInstance, Memory), (bool, BTreeSet<Msg>)>,
-    deadline: Option<Instant>,
-    cut: bool,
-    ticks: u64,
 }
 
 impl LegacyCertEngine<'_> {
-    fn out_of_time(&mut self) -> bool {
-        if self.cut {
-            return true;
-        }
-        let Some(at) = self.deadline else {
-            return false;
-        };
-        self.ticks += 1;
-        if self.ticks >= LEGACY_DEADLINE_CHECK_PERIOD {
-            self.ticks = 0;
-            if Instant::now() >= at {
-                self.cut = true;
-                return true;
-            }
-        }
-        false
-    }
-
     fn explore(
         &mut self,
         thread: &ThreadInstance,
         memory: &Memory,
         depth: u32,
     ) -> (bool, BTreeSet<Msg>) {
-        // Exact memo key, stored as private copies (deep hash + compare
-        // per lookup, as the seed's memo paid).
-        let key = {
-            let mut th = thread.clone();
-            th.unshare();
-            let mut mem = memory.clone();
-            mem.unshare();
-            (th, mem)
-        };
+        // Exact memo key (full hash + compare per lookup).
+        let key = (thread.clone(), memory.clone());
         if let Some(hit) = self.memo.get(&key) {
             return hit.clone();
         }
-        if self.out_of_time() || depth == 0 {
+        if depth == 0 {
             return (thread.state.prom.is_empty(), BTreeSet::new());
         }
         let mut reached = thread.state.prom.is_empty();
         let mut qualified = BTreeSet::new();
         let config = self.m.config();
         for kind in enabled_steps(config, self.code, self.tid, thread, memory) {
-            if self.cut {
-                break;
-            }
             let mut th = thread.clone();
-            th.unshare();
             let mut mem = memory.clone();
-            mem.unshare();
             let ev = apply_step(config, self.code, self.tid, &kind, &mut th, &mut mem)
                 .expect("enabled step must apply");
             let (sub_reached, sub_qualified) = self.explore(&th, &mem, depth - 1);
@@ -165,22 +92,22 @@ impl LegacyCertEngine<'_> {
             }
         }
         let result = (reached, qualified);
-        if !self.cut {
-            self.memo.insert(key, result.clone());
-        }
+        self.memo.insert(key, result.clone());
         result
     }
 }
 
-/// The seed's promise-first search (§7) with the pre-rework cost model.
-pub fn explore_promise_first_legacy(machine: &Machine, deadline: Option<Duration>) -> Exploration {
+/// The seed's promise-first search (§7): phase 1 enumerates certified
+/// promise sequences over `(promise sets, memory)` states; phase 2 runs
+/// each thread alone on every reached memory.
+pub fn explore_promise_first_legacy(machine: &Machine) -> Exploration {
     let start = Instant::now();
     let mut stats = Stats::default();
     let mut outcomes = BTreeSet::new();
 
     // Promise-mode search over (memory, promise-sets) states, exact keys.
     let mut visited: HashSet<(Vec<BTreeSet<Timestamp>>, Memory)> = HashSet::new();
-    let mut stack = vec![machine.deep_clone()];
+    let mut stack = vec![machine.clone()];
     visited.insert(promise_key(machine));
 
     // Cache of promisable sets, keyed by the acting thread's promise set
@@ -188,35 +115,19 @@ pub fn explore_promise_first_legacy(machine: &Machine, deadline: Option<Duration
     let mut promise_cache: HashMap<(TId, BTreeSet<Timestamp>, Memory), BTreeSet<Msg>> =
         HashMap::new();
 
-    let deadline_at = deadline.map(|d| start + d);
-
-    'search: while let Some(m) = stack.pop() {
+    while let Some(m) = stack.pop() {
         stats.states += 1;
-        if let Some(at) = deadline_at {
-            if Instant::now() >= at {
-                stats.note_stop(StopReason::DeadlineExceeded);
-                break;
-            }
-        }
 
         // Phase-2 check: is this memory final (all threads completable)?
         let mut per_thread: Vec<Rc<BTreeSet<RegMap>>> = Vec::with_capacity(m.num_threads());
         let mut all_complete = true;
-        let mut cut = false;
         for tid in (0..m.num_threads()).map(TId) {
-            let set = thread_outcomes(&m, tid, &mut stats, deadline_at, &mut cut);
-            if cut {
-                break;
-            }
+            let set = thread_outcomes(&m, tid, &mut stats);
             if set.is_empty() {
                 all_complete = false;
                 break;
             }
             per_thread.push(set);
-        }
-        if cut {
-            stats.note_stop(StopReason::DeadlineExceeded);
-            break;
         }
         if all_complete {
             stats.final_memories += 1;
@@ -253,18 +164,13 @@ pub fn explore_promise_first_legacy(machine: &Machine, deadline: Option<Duration
                 Some(p) => p.clone(),
                 None => {
                     stats.certifications += 1;
-                    let mut cut = false;
-                    let p = legacy_promisable(&m, tid, deadline_at, &mut cut);
-                    if cut {
-                        stats.note_stop(StopReason::DeadlineExceeded);
-                        break 'search;
-                    }
+                    let p = legacy_promisable(&m, tid);
                     promise_cache.insert(key, p.clone());
                     p
                 }
             };
             for msg in promisable {
-                let mut next = m.deep_clone();
+                let mut next = m.clone();
                 next.apply(&Transition::new(tid, TransitionKind::Promise { msg }))
                     .expect("certified promise applies");
                 stats.transitions += 1;
@@ -283,23 +189,15 @@ pub fn explore_promise_first_legacy(machine: &Machine, deadline: Option<Duration
 }
 
 fn promise_key(m: &Machine) -> (Vec<BTreeSet<Timestamp>>, Memory) {
-    let mut mem = m.memory().clone();
-    mem.unshare(); // exact keys stored as private copies, as the seed did
     (
         m.threads().iter().map(|t| t.state.prom.clone()).collect(),
-        mem,
+        m.memory().clone(),
     )
 }
 
 /// Phase 2 with a fresh exact-keyed memo per (state, thread), as the
-/// seed's `thread_outcomes` had. Sets `cut` past `deadline`.
-fn thread_outcomes(
-    m: &Machine,
-    tid: TId,
-    stats: &mut Stats,
-    deadline: Option<Instant>,
-    cut: &mut bool,
-) -> Rc<BTreeSet<RegMap>> {
+/// seed's `thread_outcomes` had.
+fn thread_outcomes(m: &Machine, tid: TId, stats: &mut Stats) -> Rc<BTreeSet<RegMap>> {
     let code = &m.program().threads()[tid.0];
     let mut memory = m.memory().clone();
     let mut dfs = LegacyThreadDfs {
@@ -307,13 +205,9 @@ fn thread_outcomes(
         tid,
         code,
         memo: HashMap::new(),
-        deadline,
-        cut: false,
-        ticks: 0,
     };
     let mem_len = memory.len();
     let result = dfs.run(m.thread(tid), &mut memory, stats);
-    *cut |= dfs.cut;
     debug_assert_eq!(memory.len(), mem_len, "phase 2 must not append writes");
     result
 }
@@ -323,30 +217,9 @@ struct LegacyThreadDfs<'a> {
     tid: TId,
     code: &'a promising_core::ThreadCode,
     memo: HashMap<ThreadInstance, Rc<BTreeSet<RegMap>>>,
-    deadline: Option<Instant>,
-    cut: bool,
-    ticks: u64,
 }
 
 impl LegacyThreadDfs<'_> {
-    fn out_of_time(&mut self) -> bool {
-        if self.cut {
-            return true;
-        }
-        let Some(at) = self.deadline else {
-            return false;
-        };
-        self.ticks += 1;
-        if self.ticks >= LEGACY_DEADLINE_CHECK_PERIOD {
-            self.ticks = 0;
-            if Instant::now() >= at {
-                self.cut = true;
-                return true;
-            }
-        }
-        false
-    }
-
     fn run(
         &mut self,
         thread: &ThreadInstance,
@@ -355,9 +228,6 @@ impl LegacyThreadDfs<'_> {
     ) -> Rc<BTreeSet<RegMap>> {
         if let Some(hit) = self.memo.get(thread) {
             return Rc::clone(hit);
-        }
-        if self.out_of_time() {
-            return Rc::new(BTreeSet::new());
         }
         let mut out = BTreeSet::new();
         if thread.is_done() {
@@ -371,11 +241,7 @@ impl LegacyThreadDfs<'_> {
                 if kind.appends_write() {
                     continue; // non-promise mode: no new writes
                 }
-                if self.cut {
-                    break;
-                }
                 let mut th = thread.clone();
-                th.unshare(); // deep per-step clone, as the seed's clone was
                 apply_step(self.m.config(), self.code, self.tid, &kind, &mut th, memory)
                     .expect("enabled step applies");
                 stats.transitions += 1;
@@ -384,9 +250,7 @@ impl LegacyThreadDfs<'_> {
             }
         }
         let rc = Rc::new(out);
-        if !self.cut {
-            self.memo.insert(thread.clone(), Rc::clone(&rc));
-        }
+        self.memo.insert(thread.clone(), Rc::clone(&rc));
         rc
     }
 }
@@ -417,7 +281,7 @@ mod tests {
                 w.config(Arch::Arm),
                 init_for(&w),
             );
-            let legacy = explore_promise_first_legacy(&m, None);
+            let legacy = explore_promise_first_legacy(&m);
             let fast = explore_promise_first(&m);
             assert_eq!(legacy.outcomes, fast.outcomes, "{spec}");
             assert_eq!(
@@ -434,7 +298,7 @@ mod tests {
         )
         .expect("parses");
         let m = promising_core::Machine::new(std::sync::Arc::new(program), Config::arm());
-        let legacy = explore_promise_first_legacy(&m, None);
+        let legacy = explore_promise_first_legacy(&m);
         let fast = explore_promise_first(&m);
         assert_eq!(legacy.outcomes, fast.outcomes);
     }

@@ -1,12 +1,16 @@
-//! Benchmark-harness support: table formatting and timing helpers shared
-//! by the table-regenerating binaries (see DESIGN.md §4 for the
-//! experiment index), plus the pre-optimisation [`legacy`] explorers used
-//! as the perf-trajectory baseline.
+//! Benchmark-harness support shared by the table-regenerating binaries:
+//! argument parsing ([`cli`]), the litmus corpus selection ([`corpus`]),
+//! the Table-2/3 runner ([`runtimes`]), table formatting and timing
+//! helpers ([`table`]), the batch campaign runner ([`batch`]), and the
+//! seed's promise-first search kept as a test reference ([`legacy`]).
 
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod cli;
+pub mod corpus;
 pub mod legacy;
+pub mod runtimes;
 pub mod table;
 
 pub use batch::{
@@ -15,6 +19,6 @@ pub use batch::{
 };
 pub use legacy::explore_promise_first_legacy;
 pub use table::{
-    fmt_duration, host_cpus, json_secs, parse_worker_list, sweep_cell_text, sweep_json,
-    worker_mode, SweepCell, Table,
+    best_of, fmt_duration, host_cpus, json_secs, sweep_cell_text, sweep_json, worker_mode,
+    SweepCell, Table,
 };

@@ -1,7 +1,7 @@
 //! Minimal fixed-width table rendering for the experiment binaries.
 
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A simple left-aligned text table.
 #[derive(Debug, Default)]
@@ -80,6 +80,20 @@ pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The fastest of `samples` timed runs of `routine`: the timer of the
+/// `cargo bench` targets. Their routines are whole explorations, far
+/// above timer resolution, so each sample is a single run.
+pub fn best_of<T>(samples: usize, mut routine: impl FnMut() -> T) -> Duration {
+    (0..samples.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(routine());
+            start.elapsed()
+        })
+        .min()
+        .unwrap_or_default()
+}
+
 /// How a snapshot's per-worker-count columns must be read on a host
 /// with `cores` logical CPUs: real `"speedup"` curves need more than
 /// one core; on a 1-CPU host the sweep only measures the scheduling
@@ -91,17 +105,6 @@ pub fn worker_mode(cores: usize) -> &'static str {
     } else {
         "overhead-only"
     }
-}
-
-/// Parse a `--worker-sweep 1,2,4,8` list (strictly positive counts).
-pub fn parse_worker_list(list: &str) -> Vec<usize> {
-    list.split(',')
-        .map(|w| {
-            let n: usize = w.trim().parse().expect("worker counts are integers");
-            assert!(n > 0, "worker counts must be positive");
-            n
-        })
-        .collect()
 }
 
 /// One measured cell of a `--worker-sweep` row: the same search run
@@ -195,22 +198,17 @@ mod tests {
     }
 
     #[test]
+    fn best_of_runs_every_sample() {
+        let mut runs = 0;
+        best_of(3, || runs += 1);
+        assert_eq!(runs, 3);
+    }
+
+    #[test]
     fn worker_mode_refuses_speedup_on_one_core() {
         assert_eq!(worker_mode(1), "overhead-only");
         assert_eq!(worker_mode(2), "speedup");
         assert_eq!(worker_mode(64), "speedup");
-    }
-
-    #[test]
-    fn parse_worker_list_accepts_sweeps() {
-        assert_eq!(parse_worker_list("1,2,4,8"), vec![1, 2, 4, 8]);
-        assert_eq!(parse_worker_list(" 3 "), vec![3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn parse_worker_list_rejects_zero() {
-        parse_worker_list("1,0,4");
     }
 
     #[test]

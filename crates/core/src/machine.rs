@@ -52,12 +52,6 @@ impl Cont {
     pub fn pop(&mut self) -> Option<StmtId> {
         Arc::make_mut(&mut self.0).pop()
     }
-
-    /// Force a private copy of the stack (see [`Machine::deep_clone`]).
-    #[doc(hidden)]
-    pub fn unshare(&mut self) {
-        Arc::make_mut(&mut self.0);
-    }
 }
 
 impl Deref for Cont {
@@ -91,14 +85,6 @@ impl ThreadInstance {
             h.write_u32(s.0);
         }
         self.state.feed(h);
-    }
-
-    /// Force private copies of all shared structure (see
-    /// [`Machine::deep_clone`]).
-    #[doc(hidden)]
-    pub fn unshare(&mut self) {
-        self.cont.unshare();
-        self.state.unshare();
     }
 }
 
@@ -633,18 +619,6 @@ impl Machine {
         }
         self.memory.feed(&mut h);
         h.finish128()
-    }
-
-    /// A clone that shares *no* structure with `self` (every `Arc` is
-    /// copied). Only useful for benchmarking the pre-COW cost model —
-    /// exploration should always use the structural `Clone`.
-    pub fn deep_clone(&self) -> Machine {
-        let mut m = self.clone();
-        for t in &mut m.threads {
-            t.unshare();
-        }
-        m.memory.unshare();
-        m
     }
 }
 

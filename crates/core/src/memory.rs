@@ -143,14 +143,6 @@ impl Memory {
         h.write_len(self.msgs.len());
     }
 
-    /// Force private copies of all shared structure (see
-    /// [`crate::machine::Machine::deep_clone`]).
-    #[doc(hidden)]
-    pub fn unshare(&mut self) {
-        Arc::make_mut(&mut self.msgs);
-        Arc::make_mut(&mut self.init);
-    }
-
     /// The message at timestamp `t ≥ 1` (`M(t)`), if within bounds.
     pub fn get(&self, t: Timestamp) -> Option<&Msg> {
         if t.is_initial() {

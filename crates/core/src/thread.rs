@@ -266,16 +266,6 @@ impl ThreadState {
         }
         h.write_bool(self.stuck.is_some());
     }
-
-    /// Force private copies of all shared structure (see
-    /// [`crate::machine::Machine::deep_clone`]).
-    #[doc(hidden)]
-    pub fn unshare(&mut self) {
-        Arc::make_mut(&mut self.regs.regs);
-        Arc::make_mut(&mut self.coh);
-        Arc::make_mut(&mut self.fwdb);
-        Arc::make_mut(&mut self.local);
-    }
 }
 
 impl fmt::Display for ThreadState {

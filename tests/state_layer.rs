@@ -2,7 +2,7 @@
 //! search engine ([`promising_explorer::Engine`]):
 //!
 //! * **Engine equivalence** — the generic engine must reproduce the
-//!   pre-refactor searches: outcome sets equal to the seed's independent
+//!   reference searches: outcome sets equal to the seed's independent
 //!   promise-first implementation (`promising_bench::legacy`) across the
 //!   full litmus catalogue, and the three strategies must agree with
 //!   each other (Theorems 6.1/7.1) with serial == parallel state counts.
@@ -20,9 +20,6 @@
 //! * **Serial vs parallel** — per strategy (naive, promise-first,
 //!   Flat-lite), exploring with multiple workers must produce exactly
 //!   the serial outcome set.
-//! * **Deep clones are behavioural no-ops** — `Machine::deep_clone`
-//!   (the benchmarking helper that unshares all COW structure) must not
-//!   change fingerprints or outcomes.
 
 use promising_core::{Config, Machine};
 use promising_explorer::{
@@ -304,14 +301,14 @@ fn parallel_workloads_agree_with_serial() {
 
 #[test]
 fn engine_reproduces_legacy_promise_first_on_catalogue() {
-    // The seed's promise-first search (exact keys, deep clones, its own
-    // loop — `promising_bench::legacy`) is the pre-refactor baseline:
-    // the generic engine must produce byte-identical outcome sets on the
-    // full catalogue.
+    // The seed's promise-first search (exact keys, its own loop —
+    // `promising_bench::legacy`) is an independent reference: the generic
+    // engine must produce byte-identical outcome sets on the full
+    // catalogue.
     for test in catalogue() {
         let m = machine_for(&test, config_for(&test));
         let engine = explore_promise_first(&m);
-        let legacy = promising_bench::explore_promise_first_legacy(&m, None);
+        let legacy = promising_bench::explore_promise_first_legacy(&m);
         assert_eq!(
             engine.outcomes, legacy.outcomes,
             "{test}: engine vs legacy outcome sets differ"
@@ -447,19 +444,6 @@ proptest::proptest! {
             proptest::prop_assert_eq!(sampled.stats.traces, traces);
         }
     }
-}
-
-#[test]
-fn deep_clone_preserves_fingerprint_and_behaviour() {
-    let test = promising_litmus::by_name("MP+dmb.sy+addr").expect("catalogue test");
-    let m = machine_for(&test, config_for(&test));
-    let deep = m.deep_clone();
-    assert_eq!(m.fingerprint(), deep.fingerprint());
-    assert_eq!(m.state_key(), deep.state_key());
-    assert_eq!(
-        explore_promise_first(&m).outcomes,
-        explore_promise_first(&deep).outcomes
-    );
 }
 
 #[test]
