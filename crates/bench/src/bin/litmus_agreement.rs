@@ -14,11 +14,10 @@
 //! check CI runs on every push; omit it for the full local sweep.
 //!
 //! `--por-sweep` additionally runs the two POR-reduced models
-//! (promising-naive and Flat-lite) with partial-order reduction *off*,
-//! and with the static POR on but the per-location dynamic layer
-//! (`Config::dpor`) *off*, on every selected test, asserting the
-//! outcome sets are identical to the default (por+dpor on) runs — the
-//! direct `Config::{por, dpor}` soundness sweep CI runs per push.
+//! (promising-naive and Flat-lite) with every reduction *off*
+//! (`Config::por`, the unreduced reference) on every selected test,
+//! asserting the outcome sets are identical to the default runs — the
+//! direct `Config::por` soundness sweep CI runs per push.
 
 use promising_bench::cli::{Cli, Opt};
 use promising_bench::corpus::{hardware_corpus, lang_corpus};
@@ -32,7 +31,7 @@ use std::time::Instant;
 /// POR-on vs POR-off outcome equality for the two reduced models.
 /// `flat_on` lets the caller pass the Flat outcome set the agreement
 /// check just computed (POR defaults to on there), so the sweep does not
-/// re-explore Flat's state space a third time per test.
+/// re-explore Flat's state space a second time per test.
 fn check_por_agreement(
     test: &LitmusTest,
     flat_on: Option<&BTreeSet<promising_core::Outcome>>,
@@ -46,22 +45,16 @@ fn check_por_agreement(
                     .outcomes
             }
         };
-        type Tweak = fn(promising_core::Config) -> promising_core::Config;
-        for (label, tweak) in [
-            ("POR-off", (|c| c.with_por(false)) as Tweak),
-            ("DPOR-off", (|c| c.with_por(true).with_dpor(false)) as Tweak),
-        ] {
-            let off = run_model_with(test, kind, tweak)
-                .map_err(|e| format!("{}: {} {label}: {e}", test.name, kind.name()))?;
-            if on != off.outcomes {
-                return Err(format!(
-                    "{}: {} default and {label} outcome sets differ ({} vs {} outcomes)",
-                    test.name,
-                    kind.name(),
-                    on.len(),
-                    off.outcomes.len(),
-                ));
-            }
+        let off = run_model_with(test, kind, |c| c.with_por(false))
+            .map_err(|e| format!("{}: {} POR-off: {e}", test.name, kind.name()))?;
+        if on != off.outcomes {
+            return Err(format!(
+                "{}: {} default and POR-off outcome sets differ ({} vs {} outcomes)",
+                test.name,
+                kind.name(),
+                on.len(),
+                off.outcomes.len(),
+            ));
         }
     }
     Ok(())

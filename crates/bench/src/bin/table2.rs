@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run --release -p promising-bench --bin table2 -- \
 //!     [timeout-secs] [--json PATH] [--rows A,B,..] [--worker-sweep N,M,..] \
-//!     [--sample N] [--seed S] [--no-flat] [--no-por] [--no-dpor]
+//!     [--sample N] [--seed S] [--no-flat]
 //! ```
 //!
 //! The committed `BENCH_baseline.json` is a `--json` snapshot; see
@@ -60,8 +60,6 @@ const CLI: Cli = Cli {
         Opt::Sample,
         Opt::Seed,
         Opt::Switch("--no-flat"),
-        Opt::Switch("--no-por"),
-        Opt::Switch("--no-dpor"),
     ],
 };
 

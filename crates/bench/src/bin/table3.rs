@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p promising-bench --bin table3 -- \
 //!     [timeout-secs] [--json PATH] [--worker-sweep N,M,..] \
-//!     [--sample N] [--seed S] [--no-por] [--no-dpor]
+//!     [--sample N] [--seed S]
 //! ```
 //!
 //! See `promising_bench::runtimes` for what each option does.
@@ -59,8 +59,6 @@ const CLI: Cli = Cli {
         Opt::WorkerSweep,
         Opt::Sample,
         Opt::Seed,
-        Opt::Switch("--no-por"),
-        Opt::Switch("--no-dpor"),
     ],
 };
 

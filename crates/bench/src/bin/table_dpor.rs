@@ -1,46 +1,34 @@
 //! Reduction ablation: visited states of the naive promising search and
-//! the Flat-lite baseline under three settings per row —
-//!
-//! * **off**: no partial-order reduction (`Config::por` and
-//!   `Config::dpor` off);
-//! * **static** (`states_base`): the static observer POR alone (`por`
-//!   on, `dpor` off);
-//! * **static+dynamic** (`states_dpor`): the per-location dynamic layer
-//!   on top (both on, the default).
-//!
-//! The off→static ratio (`reduction_static`) measures what the static
-//! POR prunes; the static→dynamic ratio (`reduction`) what the dynamic
-//! layer adds. Rows come in two groups:
+//! the Flat-lite baseline with every reduction off (`states_off`,
+//! `Config::por` off: the unreduced reference) and on (`states_dpor`,
+//! the default). `reduction` is `states_off / states_dpor`. Rows come in
+//! two groups:
 //!
 //! * the **Table-2 heavy rows** (SLC-2, STC, STR, QU) are append-bound:
 //!   every thread keeps writing a contended location until it retires,
-//!   and appends to the total order of memory never commute under the
-//!   static POR, so it prunes nothing there (off→static is 1.0x). The
-//!   dynamic layer attacks them from two sides: the flat model's
-//!   canonical per-location state encoding merges interleavings that
-//!   differ only in the global order of appends to disjoint locations,
-//!   and the naive model's restricted-fingerprint `CertMemo` keys let a
+//!   and appends to the total order of memory never commute. The
+//!   reduction attacks them from two sides: the flat model's canonical
+//!   per-location state encoding merges interleavings that differ only
+//!   in the global order of appends to disjoint locations, and the
+//!   naive model's restricted-fingerprint `CertMemo` keys let a
 //!   thread's certification survive sibling appends to locations outside
 //!   its may-access scope (the `survived` counter);
 //! * **read-parallel rows** — IRIW-style multi-observer shapes (the
 //!   catalogue entries plus `RF-n-k` fan-outs: one writer of `k`
 //!   locations, `n` pure-reader threads), where co-enabled observers
-//!   collapse multiplicatively under the static POR. The dynamic
-//!   delayable-thread rule strictly contains the pure-observer rule, so
-//!   the static→dynamic ratio is a regression guard here: it must stay
-//!   at or above 1.0x.
+//!   collapse multiplicatively.
 //!
 //! ```text
 //! cargo run --release -p promising-bench --bin table_dpor -- \
 //!     [timeout-secs] [--json PATH] [--worker-sweep N,M,..]
 //! ```
 //!
-//! The three cells' outcome sets are checked equal on every row (among
-//! the cells that complete); the process exits non-zero otherwise.
+//! The two cells' outcome sets are checked equal on every row where both
+//! complete; the process exits 1 otherwise.
 //!
-//! `--worker-sweep 1,2,4,8` re-runs each *flat* static+dynamic cell once
-//! per worker count over the work-stealing frontier, asserting the
-//! outcome set identical to the serial cell, and emits a per-row
+//! `--worker-sweep 1,2,4,8` re-runs each *flat* default cell once per
+//! worker count over the work-stealing frontier, asserting the outcome
+//! set identical to the serial cell, and emits a per-row
 //! `worker_sweep` series in the JSON. The snapshot-level
 //! `cores`/`worker_mode` pair says how to read it: speedup ratios are
 //! only printed when the host has more than one logical core.
@@ -74,7 +62,7 @@ const HEAVY: &[&str] = &[
 
 /// Read-parallel fan-outs: (readers, locations-each). The observer
 /// collapse compounds in the reader count — the off cell grows by the
-/// full multinomial of reader interleavings, the static cell by a sum.
+/// full multinomial of reader interleavings, the default cell by a sum.
 const FANOUTS: &[(usize, usize)] = &[
     (2, 2),
     (3, 2),
@@ -86,21 +74,19 @@ const FANOUTS: &[(usize, usize)] = &[
     (6, 2),
 ];
 
-/// `config` under the three reduction settings: off, static,
-/// static+dynamic.
-fn settings(config: &Config) -> [Config; 3] {
-    [(false, false), (true, false), (true, true)]
-        .map(|(por, dpor)| config.clone().with_por(por).with_dpor(dpor))
+/// `config` with reductions off, then on.
+fn settings(config: &Config) -> [Config; 2] {
+    [false, true].map(|por| config.clone().with_por(por))
 }
 
 struct Row {
     name: String,
     model: &'static str,
     group: &'static str,
-    /// The off, static and static+dynamic cells, in [`settings`] order.
-    cells: [Exploration; 3],
-    /// `--worker-sweep` series for the static+dynamic cell (flat rows
-    /// only; empty when the sweep was not requested or does not apply).
+    /// The off and default cells, in [`settings`] order.
+    cells: [Exploration; 2],
+    /// `--worker-sweep` series for the default cell (flat rows only;
+    /// empty when the sweep was not requested or does not apply).
     sweep: Vec<SweepCell>,
 }
 
@@ -109,32 +95,19 @@ impl Row {
         self.cells[i].stats.states
     }
 
-    /// States of cell `from` over states of cell `to`; `None` unless
-    /// both completed.
-    fn ratio(&self, from: usize, to: usize) -> Option<f64> {
-        (!self.cells[from].stats.truncated() && !self.cells[to].stats.truncated())
-            .then(|| self.states(from) as f64 / self.states(to).max(1) as f64)
-    }
-
-    /// Off → static.
-    fn static_reduction(&self) -> Option<f64> {
-        self.ratio(0, 1)
-    }
-
-    /// Static → static+dynamic.
-    fn dynamic_reduction(&self) -> Option<f64> {
-        self.ratio(1, 2)
+    /// Off states over default states; `None` unless both completed.
+    fn reduction(&self) -> Option<f64> {
+        (!self.truncated()).then(|| self.states(0) as f64 / self.states(1).max(1) as f64)
     }
 
     fn truncated(&self) -> bool {
         self.cells.iter().any(|c| c.stats.truncated())
     }
 
-    /// Whether every completed cell found the same outcomes.
+    /// Whether the cells found the same outcomes (vacuously, unless both
+    /// completed).
     fn outcomes_equal(&self) -> bool {
-        let mut done = self.cells.iter().filter(|c| !c.stats.truncated());
-        let first = done.next();
-        done.all(|c| Some(&c.outcomes) == first.map(|f| &f.outcomes))
+        self.truncated() || self.cells[0].outcomes == self.cells[1].outcomes
     }
 }
 
@@ -169,7 +142,7 @@ fn main() {
     let cores = host_cpus();
     let budget = SearchBudget::deadline(Some(args.timeout));
     println!(
-        "Reduction ablation: visited states with POR off, static, static+dynamic ({}s per cell)\n",
+        "Reduction ablation: visited states with POR off and on ({}s per cell)\n",
         args.timeout.as_secs()
     );
     if !args.worker_sweep.is_empty() {
@@ -185,7 +158,7 @@ fn main() {
     let mut measure = |name: String,
                        model: &'static str,
                        group: &'static str,
-                       cells: [Exploration; 3],
+                       cells: [Exploration; 2],
                        sweep: Vec<SweepCell>| {
         let row = Row {
             name,
@@ -195,12 +168,11 @@ fn main() {
             sweep,
         };
         eprintln!(
-            "  {model} {}: {} -> {} -> {} states, {} survived{}",
+            "  {model} {}: {} -> {} states, {} survived{}",
             row.name,
             row.states(0),
             row.states(1),
-            row.states(2),
-            row.cells[2].stats.cert_survived,
+            row.cells[1].stats.cert_survived,
             if row.truncated() { " [truncated]" } else { "" }
         );
         rows.push(row);
@@ -218,16 +190,16 @@ fn main() {
                 let m = FlatMachine::with_init(Arc::clone(program), c, init.clone());
                 explore_flat_budget(&m, budget)
             };
-            let [off, base, on] = settings(&config);
-            let cells = [flat(off), flat(base), flat(on.clone())];
+            let [off, on] = settings(&config);
+            let cells = [flat(off), flat(on.clone())];
             let sweep = args
                 .worker_sweep
                 .iter()
                 .map(|&n| {
                     let e = flat(on.clone().with_workers(n));
-                    if !e.stats.truncated() && !cells[2].stats.truncated() {
+                    if !e.stats.truncated() && !cells[1].stats.truncated() {
                         assert_eq!(
-                            e.outcomes, cells[2].outcomes,
+                            e.outcomes, cells[1].outcomes,
                             "{name}: {n}-worker and serial flat outcome sets must agree"
                         );
                     }
@@ -274,10 +246,8 @@ fn main() {
         "Model",
         "Group",
         "States-off",
-        "States-base",
         "States-dpor",
-        "Static",
-        "Dynamic",
+        "Reduction",
         "Pruned",
         "Cert h/m/surv",
     ]
@@ -289,7 +259,7 @@ fn main() {
     let mut table = Table::new(&header_refs);
     let fmt_ratio = |r: Option<f64>| r.map_or("ooT".to_string(), |r| format!("{r:.2}x"));
     for r in &rows {
-        let on = &r.cells[2].stats;
+        let on = &r.cells[1].stats;
         let mut cells = vec![r.name.clone(), r.model.to_string(), r.group.to_string()];
         cells.extend(r.cells.iter().map(|c| {
             if c.stats.truncated() {
@@ -299,8 +269,7 @@ fn main() {
             }
         }));
         cells.extend([
-            fmt_ratio(r.static_reduction()),
-            fmt_ratio(r.dynamic_reduction()),
+            fmt_ratio(r.reduction()),
             on.por_pruned.to_string(),
             format!("{}/{}/{}", on.cert_hits, on.cert_misses, on.cert_survived),
         ]);
@@ -315,54 +284,34 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let mean = |ratio: fn(&Row) -> Option<f64>, group: &str, model: Option<&str>| {
+    let mean = |group: &str, model: Option<&str>| {
         geo_mean(
             rows.iter()
                 .filter(|r| r.group == group && model.is_none_or(|m| r.model == m))
-                .map(ratio),
+                .map(Row::reduction),
         )
     };
     let means = [
-        (
-            "mean_reduction_static_table2_heavy",
-            mean(Row::static_reduction, "table2-heavy", None),
-        ),
-        (
-            "mean_reduction_static_read_parallel",
-            mean(Row::static_reduction, "read-parallel", None),
-        ),
-        (
-            "mean_reduction_table2_heavy",
-            mean(Row::dynamic_reduction, "table2-heavy", None),
-        ),
+        ("mean_reduction_table2_heavy", mean("table2-heavy", None)),
         (
             "mean_reduction_table2_heavy_flat",
-            mean(Row::dynamic_reduction, "table2-heavy", Some("flat")),
+            mean("table2-heavy", Some("flat")),
         ),
-        (
-            "mean_reduction_read_parallel",
-            mean(Row::dynamic_reduction, "read-parallel", None),
-        ),
+        ("mean_reduction_read_parallel", mean("read-parallel", None)),
     ];
     let fmt_mean =
         |m: Option<f64>| m.map_or("- (all rows truncated)".to_string(), |m| format!("{m:.2}x"));
-    println!("geometric-mean state reductions (completed rows):");
     println!(
-        "  off -> static:     table2-heavy {}, read-parallel {}",
+        "geometric-mean off -> default state reductions (completed rows): table2-heavy {} (flat {}), read-parallel {}",
         fmt_mean(means[0].1),
-        fmt_mean(means[1].1)
-    );
-    println!(
-        "  static -> dynamic: table2-heavy {} (flat {}), read-parallel {} (regression guard: ~1.0x or better)",
-        fmt_mean(means[2].1),
-        fmt_mean(means[3].1),
-        fmt_mean(means[4].1)
+        fmt_mean(means[1].1),
+        fmt_mean(means[2].1)
     );
 
     let mismatches: Vec<&Row> = rows.iter().filter(|r| !r.outcomes_equal()).collect();
     for r in &mismatches {
         eprintln!(
-            "MISMATCH: {} {}: the off, static and static+dynamic outcome sets differ",
+            "MISMATCH: {} {}: the off and default outcome sets differ",
             r.model, r.name
         );
     }
@@ -381,24 +330,21 @@ fn main() {
         let _ = writeln!(out, "  \"rows\": [");
         let json_ratio = |r: Option<f64>| r.map_or("null".to_string(), |r| format!("{r:.4}"));
         for (i, r) in rows.iter().enumerate() {
-            let [off, base, on] = &r.cells;
+            let [off, on] = &r.cells;
             let _ = write!(
                 out,
-                "    {{\"test\": \"{}\", \"model\": \"{}\", \"group\": \"{}\", \"states_off\": {}, \"states_base\": {}, \"states_dpor\": {}, \"reduction_static\": {}, \"reduction\": {}, \"por_pruned\": {}, \"cert_hits\": {}, \"cert_misses\": {}, \"cert_survived\": {}, \"stop_off\": \"{}\", \"stop_base\": \"{}\", \"stop_dpor\": \"{}\", \"truncated\": {}, \"outcomes_equal\": {}",
+                "    {{\"test\": \"{}\", \"model\": \"{}\", \"group\": \"{}\", \"states_off\": {}, \"states_dpor\": {}, \"reduction\": {}, \"por_pruned\": {}, \"cert_hits\": {}, \"cert_misses\": {}, \"cert_survived\": {}, \"stop_off\": \"{}\", \"stop_dpor\": \"{}\", \"truncated\": {}, \"outcomes_equal\": {}",
                 r.name,
                 r.model,
                 r.group,
                 off.stats.states,
-                base.stats.states,
                 on.stats.states,
-                json_ratio(r.static_reduction()),
-                json_ratio(r.dynamic_reduction()),
+                json_ratio(r.reduction()),
                 on.stats.por_pruned,
                 on.stats.cert_hits,
                 on.stats.cert_misses,
                 on.stats.cert_survived,
                 off.stats.stop.name(),
-                base.stats.stop.name(),
                 on.stats.stop.name(),
                 r.truncated(),
                 r.outcomes_equal(),

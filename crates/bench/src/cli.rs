@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(a.worker_sweep, vec![1, 2]);
         assert_eq!(a.sample, Some(8));
         assert!(a.switch("--no-flat"));
-        assert!(!a.switch("--no-por"));
+        assert!(!a.switch("--por-sweep"));
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //!   sets appear as canonically sorted digests (`outcomes_digest`), so
 //!   only the timing fields vary across runs and worker counts;
 //! * `--no-flat` — skip the Flat-lite cells;
-//! * `--no-por` — disable partial-order reduction (`Config::por`);
-//! * `--no-dpor` — keep the static POR but disable the per-location
-//!   dynamic layer (`Config::dpor`);
 //! * `--worker-sweep 1,2,4,8` — re-run the promising side once per
 //!   worker count, assert the outcome digests byte-identical to the
 //!   serial cell, and emit a per-row `worker_sweep` series. Speedup
@@ -65,14 +62,9 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
         .rows
         .clone()
         .unwrap_or_else(|| rows.iter().map(|s| s.to_string()).collect());
-    let (no_flat, por, dpor) = (
-        args.switch("--no-flat"),
-        !args.switch("--no-por"),
-        !args.switch("--no-dpor"),
-    );
+    let no_flat = args.switch("--no-flat");
     let cores = host_cpus();
     let budget = SearchBudget::deadline(Some(args.timeout));
-    let configure = |c: Config| c.with_por(por).with_dpor(dpor);
     let secs = |truncated: bool, wall: Duration| (!truncated).then_some(wall.as_secs_f64());
     let fmt_cell = |c: Cell| fmt_duration(c.map(Duration::from_secs_f64));
 
@@ -100,7 +92,7 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
     for spec in &rows {
         let w = by_spec(spec).unwrap_or_else(|| cli.fail(&format!("unknown workload `{spec}`")));
         let init = init_for(&w);
-        let config = configure(w.config(Arch::Arm));
+        let config = w.config(Arch::Arm);
         let machine = |config: Config| Machine::with_init(w.program.clone(), config, init.clone());
         let m = machine(config.clone());
         let p = explore_promise_first_budget(&m, budget);
@@ -135,7 +127,7 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
         let flat = (!no_flat).then(|| {
             let fm = FlatMachine::with_init(
                 w.program.clone(),
-                configure(w.config_unshared(Arch::Arm)),
+                w.config_unshared(Arch::Arm),
                 init.clone(),
             );
             let f = explore_flat_budget(&fm, budget);
@@ -209,14 +201,14 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
     println!("{}", table.render());
 
     if let Some(path) = &args.json {
-        let json = render_json(cli.bin, args.timeout, por, dpor, &done);
+        let json = render_json(cli.bin, args.timeout, &done);
         std::fs::write(path, json)
             .unwrap_or_else(|e| cli.fail(&format!("cannot write {path}: {e}")));
         println!("wrote {path}");
     }
 }
 
-fn render_json(suite: &str, timeout: Duration, por: bool, dpor: bool, rows: &[Row]) -> String {
+fn render_json(suite: &str, timeout: Duration, rows: &[Row]) -> String {
     let cores = host_cpus();
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -227,8 +219,6 @@ fn render_json(suite: &str, timeout: Duration, por: bool, dpor: bool, rows: &[Ro
     // sweep is marked "overhead-only" and carries no speedup ratios.
     let _ = writeln!(out, "  \"cores\": {cores},");
     let _ = writeln!(out, "  \"worker_mode\": \"{}\",", worker_mode(cores));
-    let _ = writeln!(out, "  \"por\": {por},");
-    let _ = writeln!(out, "  \"dpor\": {dpor},");
     let _ = writeln!(out, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(

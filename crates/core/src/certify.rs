@@ -28,12 +28,13 @@
 
 use crate::config::Config;
 use crate::fingerprint::{Fingerprint, FpHashMap, FpHasher};
+use crate::footprint::LocSet;
 use crate::ids::{Loc, TId, Timestamp, Val};
 use crate::machine::{
     apply_step, enabled_steps, Machine, StepEvent, ThreadInstance, TransitionKind,
 };
 use crate::memory::{Memory, Msg};
-use crate::stmt::{MayAccess, ThreadCode};
+use crate::stmt::ThreadCode;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -191,19 +192,19 @@ impl CertMemo {
         tid: TId,
         thread: &ThreadInstance,
         memory: &Memory,
-        scope: &BTreeSet<Loc>,
+        scope: &LocSet,
     ) -> Fingerprint {
         let mut h = FpHasher::new();
         h.write_u64(1); // key-family tag: restricted
         h.write_len(tid.0);
         thread.feed(&mut h);
         h.write_len(scope.len());
-        for &loc in scope {
+        for loc in scope.iter() {
             h.write_u64(loc.0);
             h.write_i64(memory.initial(loc).0);
         }
         for (ts, msg) in memory.iter() {
-            if scope.contains(&msg.loc) {
+            if scope.contains(msg.loc) {
                 h.write_u32(ts.0);
                 h.write_u64(msg.loc.0);
                 h.write_i64(msg.val.0);
@@ -289,12 +290,15 @@ pub fn find_and_certify_with(
     deadline: Option<Instant>,
 ) -> CertResult {
     let code = &machine.program().threads()[tid.0];
+    let scope = machine
+        .thread_cert_scope(tid)
+        .filter(|_| machine.config().por);
     let mut engine = Engine {
         config: machine.config(),
         code,
         tid,
         base_ts: machine.memory().max_timestamp(),
-        scope: cert_scope(machine, tid),
+        scope: scope.as_ref(),
         memo,
         bound_hit: false,
         deadline,
@@ -340,12 +344,15 @@ pub fn find_promises_with(
     deadline: Option<Instant>,
 ) -> (BTreeSet<Msg>, bool) {
     let code = &machine.program().threads()[tid.0];
+    let scope = machine
+        .thread_cert_scope(tid)
+        .filter(|_| machine.config().por);
     let mut engine = Engine {
         config: machine.config(),
         code,
         tid,
         base_ts: machine.memory().max_timestamp(),
-        scope: cert_scope(machine, tid),
+        scope: scope.as_ref(),
         memo,
         bound_hit: false,
         deadline,
@@ -355,24 +362,6 @@ pub fn find_promises_with(
     let depth = machine.config().cert_depth;
     let (_, promisable) = engine.explore(machine.thread(tid), machine.memory(), depth);
     (promisable, engine.deadline_hit)
-}
-
-/// The certifying thread's access scope as a concrete location set: the
-/// union of its continuation's may-read and may-write sets. `None` when
-/// any remaining access has a dynamic address ([`MayAccess::Any`]) or the
-/// per-location layer is disabled ([`Config::dpor`] off) — the
-/// conservative fallback under which every memo key is a full key,
-/// reproducing the whole-memory behaviour exactly.
-fn cert_scope(machine: &Machine, tid: TId) -> Option<BTreeSet<Loc>> {
-    if !machine.config().dpor {
-        return None;
-    }
-    let mut acc = machine.thread_may_reads(tid);
-    acc.absorb(&machine.thread_may_writes(tid));
-    match acc {
-        MayAccess::Any => None,
-        MayAccess::Locs(locs) => Some(locs),
-    }
 }
 
 /// Cheap certification check only (no promise enumeration): is the
@@ -394,10 +383,12 @@ struct Engine<'a> {
     /// Maximal timestamp of the memory before certification (the promise
     /// qualification bound of §B step 3).
     base_ts: Timestamp,
-    /// The certifying thread's statically-known access scope, when it
-    /// has one (see [`cert_scope`]): enables restricted-memory memo keys
-    /// at nodes with no cert-local appends yet.
-    scope: Option<BTreeSet<Loc>>,
+    /// The certifying thread's statically-known access scope
+    /// ([`Machine::thread_cert_scope`]), when it has one and reductions
+    /// are on ([`Config::por`]): enables restricted-memory memo keys at
+    /// nodes with no cert-local appends yet. `None` makes every key a
+    /// full key — the unreduced reference.
+    scope: Option<&'a LocSet>,
     memo: &'a mut CertMemo,
     bound_hit: bool,
     deadline: Option<Instant>,
@@ -463,14 +454,9 @@ impl Engine<'_> {
         depth: u32,
     ) -> (bool, BTreeSet<Msg>) {
         let (tid, base_ts) = (self.tid, self.base_ts);
-        // Cloned out of `self` (the sets are tiny) so the exact-key
-        // closure below borrows no engine state across the recursion.
-        let restricted: Option<BTreeSet<Loc>> = if memory.max_timestamp() == base_ts {
-            self.scope.clone()
-        } else {
-            None
-        };
-        let restricted = restricted.as_ref();
+        // Copied out of `self`, so the exact-key closure below borrows no
+        // engine state across the recursion.
+        let restricted = self.scope.filter(|_| memory.max_timestamp() == base_ts);
         let (fp, stamp) = match restricted {
             Some(scope) => (
                 CertMemo::restricted_key(tid, thread, memory, scope),
@@ -482,10 +468,10 @@ impl Engine<'_> {
             Some(scope) => ExactKey::Restricted {
                 tid,
                 thread: thread.clone(),
-                scope: scope.iter().map(|&l| (l, memory.initial(l))).collect(),
+                scope: scope.iter().map(|l| (l, memory.initial(l))).collect(),
                 msgs: memory
                     .iter()
-                    .filter(|(_, m)| scope.contains(&m.loc))
+                    .filter(|(_, m)| scope.contains(m.loc))
                     .map(|(t, m)| (t, *m))
                     .collect(),
             },

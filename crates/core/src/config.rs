@@ -76,20 +76,16 @@ pub struct Config {
     /// panic if two distinct states ever collide. Slower; intended for
     /// tests validating the fingerprint layer.
     pub paranoid: bool,
-    /// Partial-order reduction: prune provably redundant interleavings
-    /// (persistent sets over transition footprints) from the exhaustive
-    /// search. On by default; outcome sets are identical either way
-    /// (`--no-por` in the table binaries is the escape hatch). See
+    /// Every search reduction, as one switch. On (the default), the
+    /// exhaustive engines prune redundant interleavings through each
+    /// model's `reduce` hook (per-state persistent sets), the flat model
+    /// merges states that differ only in the interleaving order of
+    /// appends to different locations, and certification memo keys are
+    /// restricted to the certifying thread's access scope. Off is the
+    /// unreduced reference: no `reduce`, raw flat states, full
+    /// certification keys. Outcome sets are identical either way. See
     /// [`crate::footprint`].
     pub por: bool,
-    /// Per-location dynamic layer on top of [`por`](Config::por):
-    /// per-location append independence (with the flat model's canonical
-    /// per-location state encoding), the generalized per-state
-    /// persistent sets, and the restricted-memory certification memo
-    /// key. On by default; only effective while `por` is on. `--no-dpor`
-    /// in the table binaries falls back to the PR 5 whole-memory
-    /// reduction. Outcome sets are identical either way.
-    pub dpor: bool,
 }
 
 /// The default exploration worker count: `1` (the serial fast path)
@@ -119,7 +115,6 @@ impl Config {
             workers: default_workers(),
             paranoid: false,
             por: true,
-            dpor: true,
         }
     }
 
@@ -174,18 +169,11 @@ impl Config {
         self
     }
 
-    /// Enable or disable partial-order reduction (on by default).
+    /// Enable or disable every search reduction (on by default; off is
+    /// the unreduced reference — see [`por`](Config::por)).
     #[must_use]
     pub fn with_por(mut self, por: bool) -> Config {
         self.por = por;
-        self
-    }
-
-    /// Enable or disable the per-location dynamic POR layer (on by
-    /// default; only effective while [`por`](Config::por) is on).
-    #[must_use]
-    pub fn with_dpor(mut self, dpor: bool) -> Config {
-        self.dpor = dpor;
         self
     }
 }

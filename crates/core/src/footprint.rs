@@ -9,27 +9,22 @@
 //! [`independent`](Footprint::independent_with) relation of the
 //! exploration engine's `SearchModel` trait.
 //!
-//! Two append relations are offered. The strict one
-//! ([`independent_with`](Footprint::independent_with)) keeps *any* two
-//! appends dependent: in the promising machine, memory is a single total
-//! order of messages and views are scalar timestamps into it, so the
-//! relative order of two appends — even to different locations — is
-//! observable (a view covering one message covers everything below it).
-//! The per-location one
-//! ([`independent_with_commuting_appends`](Footprint::independent_with_commuting_appends))
-//! lets appends to *disjoint* location sets commute; it is sound only
-//! for models whose states are identified up to per-location message
-//! order (the flat model under its canonical per-location state
-//! encoding — see `promising-flat`).
+//! Appends never commute under [`independent_with`](Footprint::independent_with):
+//! in the promising machine, memory is a single total order of messages
+//! and views are scalar timestamps into it, so the relative order of two
+//! appends — even to different locations — is observable (a view
+//! covering one message covers everything below it). Reductions that
+//! exploit disjoint-location appends do so per state, in each model's
+//! `reduce` hook, not through this relation.
 //!
 //! Certification coupling is refined by an optional *certification
 //! scope* ([`Footprint::cert_scope`]): when the certifying thread's
 //! continuation can only ever access a known location set, appends
 //! outside that set cannot change any certification verdict (they land
 //! above every view and every in-scope message), so the coupled step and
-//! the append are independent even under the strict relation.
+//! the append are independent.
 //!
-//! The relations are deliberately conservative: returning `true`
+//! The relation is deliberately conservative: returning `true`
 //! guarantees the two transitions are independent in the classical
 //! sense — co-enabled in some state, they commute (executing them in
 //! either order reaches the same state, up to the model's state
@@ -41,8 +36,8 @@
 use crate::ids::Loc;
 
 /// A small set of locations, bitmask-backed: locations `0..64` live in
-/// one machine word (set intersection is on the hot path of per-location
-/// independence), anything above spills into a side vector. Litmus tests
+/// one machine word (set intersection is on the hot path of the
+/// independence relation), anything above spills into a side vector. Litmus tests
 /// and the workload suites use a handful of locations; the spill path is
 /// the conservative fallback for programs with more than 64.
 ///
@@ -102,6 +97,11 @@ impl LocSet {
         self.bits == 0 && self.spill.is_empty()
     }
 
+    /// The number of locations in the set.
+    pub fn len(&self) -> usize {
+        self.bits.count_ones() as usize + self.spill.len()
+    }
+
     /// Iterate over the locations in ascending order (bitmask part
     /// first, then the sorted spill).
     pub fn iter(&self) -> impl Iterator<Item = Loc> + '_ {
@@ -139,9 +139,7 @@ pub struct Footprint {
     pub writes: LocSet,
     /// Locations at which the step appends fresh messages to memory
     /// (normal writes, RMW normal writes, promises). Always a subset of
-    /// `writes`. Under the strict relation any two appends conflict
-    /// regardless of location; the per-location relation conflicts them
-    /// only when these sets intersect.
+    /// `writes`. Any two appends conflict, regardless of location.
     pub appends: LocSet,
     /// Whether the step is certification-coupled: a promise, or any step
     /// of a thread that currently holds promises (r24 filters those
@@ -232,26 +230,12 @@ impl Footprint {
         self
     }
 
-    /// The strict independence relation: wherever both transitions are
-    /// enabled they commute *state-identically*, and neither enables or
+    /// The independence relation: wherever both transitions are enabled
+    /// they commute *state-identically*, and neither enables or
     /// disables the other. Any two appends conflict (global message
     /// order is observable through scalar views in the promising
     /// machine). Conservative — `false` makes no claim.
     pub fn independent_with(&self, other: &Footprint) -> bool {
-        self.independent(other, false)
-    }
-
-    /// The per-location independence relation: appends conflict only
-    /// when their location sets intersect. Sound only for models whose
-    /// state identification quotients out the relative order of
-    /// different-location messages (the flat model's canonical
-    /// per-location encoding); under it, disjoint-location appends
-    /// commute to the *same canonical state*.
-    pub fn independent_with_commuting_appends(&self, other: &Footprint) -> bool {
-        self.independent(other, true)
-    }
-
-    fn independent(&self, other: &Footprint, per_loc_appends: bool) -> bool {
         let (Some(a), Some(b)) = (self.agent, other.agent) else {
             return false;
         };
@@ -259,9 +243,8 @@ impl Footprint {
             // same program point: alternative branches, never independent
             return false;
         }
-        let both_append = !self.appends.is_empty() && !other.appends.is_empty();
-        if !per_loc_appends && both_append {
-            // strict mode: memory is a total order, appends never commute
+        if !self.appends.is_empty() && !other.appends.is_empty() {
+            // memory is a total order: appends never commute
             return false;
         }
         // r24: a certification-coupled step can be enabled or disabled by
@@ -318,7 +301,7 @@ mod tests {
         s.insert(Loc(1000));
         assert!(s.contains(Loc(63)) && s.contains(Loc(64)) && s.contains(Loc(1000)));
         assert!(!s.contains(Loc(62)) && !s.contains(Loc(65)));
-        assert_eq!(s.iter().count(), 3);
+        assert_eq!(s.len(), 3);
         assert_eq!(
             s.iter().collect::<Vec<_>>(),
             vec![Loc(63), Loc(64), Loc(1000)]
@@ -381,7 +364,8 @@ mod tests {
             for l in 0..170 {
                 assert_eq!(fwd.contains(Loc(l)), reference.contains(&l));
             }
-            assert_eq!(fwd.iter().count(), reference.len());
+            assert_eq!(fwd.len(), reference.len());
+            assert!(fwd.iter().map(|l| l.0).eq(reference.iter().copied()));
             assert!(fwd.intersects(&bwd) || reference.is_empty());
         }
     }
@@ -398,7 +382,6 @@ mod tests {
         let o = Footprint::opaque();
         assert!(!o.independent_with(&Footprint::local(1)));
         assert!(!Footprint::local(1).independent_with(&o));
-        assert!(!o.independent_with_commuting_appends(&Footprint::local(1)));
     }
 
     #[test]
@@ -406,7 +389,6 @@ mod tests {
         let a = Footprint::read(0, Loc(1));
         let b = Footprint::read(0, Loc(2));
         assert!(!a.independent_with(&b));
-        assert!(!a.independent_with_commuting_appends(&b));
     }
 
     #[test]
@@ -422,9 +404,7 @@ mod tests {
         let a = Footprint::write(0, Loc(1), true);
         let b = Footprint::write(1, Loc(2), true);
         assert!(!a.independent_with(&b));
-        // …while the per-location relation commutes them
-        assert!(a.independent_with_commuting_appends(&b));
-        assert!(b.independent_with_commuting_appends(&a));
+        assert!(!b.independent_with(&a));
     }
 
     #[test]
@@ -432,7 +412,6 @@ mod tests {
         let a = Footprint::write(0, Loc(1), true);
         let b = Footprint::write(1, Loc(1), true);
         assert!(!a.independent_with(&b));
-        assert!(!a.independent_with_commuting_appends(&b));
     }
 
     #[test]
@@ -441,7 +420,6 @@ mod tests {
         let r = Footprint::read(1, Loc(1));
         assert!(!w.independent_with(&r));
         assert!(!r.independent_with(&w));
-        assert!(!w.independent_with_commuting_appends(&r));
         let r2 = Footprint::read(1, Loc(2));
         assert!(w.independent_with(&r2));
     }

@@ -290,8 +290,9 @@ pub trait SearchModel: Sync {
 
     /// The partial-order-reduction [`Footprint`] of `t` at `s`: acting
     /// agent, locations touched, append/certification flags. The default
-    /// is [`Footprint::opaque`] — dependent with everything — so models
-    /// that do not opt in are never reduced.
+    /// is [`Footprint::opaque`] — dependent with everything — so a model
+    /// that does not override it claims no independent pairs. The engine
+    /// prunes only through [`reduce`](SearchModel::reduce).
     fn footprint(&self, _s: &Self::State, _t: &Self::Transition) -> Footprint {
         Footprint::opaque()
     }

@@ -165,11 +165,7 @@ impl SearchModel for NaiveModel {
     }
 
     fn reduce(&self, m: &Machine, transitions: &mut Vec<Transition>) {
-        if self.config().dpor {
-            reduce_delayable_threads(m, transitions);
-        } else {
-            reduce_pure_observers(m, transitions);
-        }
+        reduce_delayable_threads(m, transitions);
     }
 
     fn drain_cache(&self, memo: &mut CertMemo, stats: &mut Stats) {
@@ -180,79 +176,15 @@ impl SearchModel for NaiveModel {
     }
 }
 
-/// Partial-order reduction for the full-interleaving search: collapse
-/// co-enabled *pure observers*.
-///
-/// A thread is an eligible observer when it holds no promises, every
-/// transition it currently has is a read (or exclusive-failure), and its
-/// remaining code can never write a shared location
-/// ([`Machine::thread_is_pure_observer`]). Every step such a thread will
-/// *ever* take is thread-local: it never appends to memory, never
-/// promises, and is certification-free, so it is independent — in both
-/// directions — of every transition any other thread will ever take
-/// (appends land above the observer's frozen read bound, so its specific
-/// read candidates stay enabled with unchanged effects; its own steps
-/// touch nothing others can see).
-///
-/// Keeping just ONE observer's transitions (plus everything else) is
-/// therefore a *persistent set*: any trace avoiding the kept set consists
-/// of other observers' reads, each independent of the whole kept set, so
-/// every reachable terminated state is still reached by running the kept
-/// thread first and the delayed observers later. Outcomes are read only
-/// off terminated states, hence POR-on and POR-off outcome sets are
-/// identical (asserted across the catalogue, the generated suites, and
-/// the language corpus by `tests/por_agreement.rs`).
-///
-/// Why nothing stronger: transitions that append — normal writes, RMW
-/// writes, promises — order themselves in memory's total order, so no two
-/// of them commute; and a thread whose *remaining* code may still write
-/// cannot be delayed past an append (its later reads could observe it),
-/// nor collapsed while promisable (hoisted writes are exactly what the
-/// promise transitions in the kept set represent). The interleaving-bound
-/// lock workloads (threads writing a contended location until they
-/// retire) therefore reduce only in their read-only phases; read-parallel
-/// shapes (IRIW-style multi-observer tests, which dominate the litmus
-/// corpora) collapse multiplicatively.
-pub(crate) fn reduce_pure_observers(m: &Machine, transitions: &mut Vec<Transition>) {
-    let n = m.num_threads();
-    let mut prunable = vec![false; n];
-    let mut seen = vec![false; n];
-    for t in transitions.iter() {
-        let tid = t.tid.0;
-        let read_like = matches!(
-            t.kind,
-            TransitionKind::Read { .. } | TransitionKind::ExclFail
-        );
-        if !seen[tid] {
-            seen[tid] = true;
-            prunable[tid] = read_like
-                && !m.thread(t.tid).state.has_promises()
-                && m.thread_is_pure_observer(t.tid);
-        } else {
-            prunable[tid] &= read_like;
-        }
-    }
-    let mut observers = (0..n).filter(|&t| prunable[t]);
-    let Some(keep) = observers.next() else {
-        return;
-    };
-    if observers.next().is_none() {
-        // a single observer has nothing to collapse against
-        return;
-    }
-    transitions.retain(|t| !prunable[t.tid.0] || t.tid.0 == keep);
-}
-
-/// Per-state persistent sets over the per-location conflict structure
-/// (the [`promising_core::Config::dpor`] layer): collapse co-enabled
-/// *delayable* threads, where delayable generalises PR 5's pure
-/// observers with a second, per-location case.
+/// Partial-order reduction for the full-interleaving search
+/// ([`promising_core::Config::por`]): per-state persistent sets that
+/// collapse co-enabled *delayable* threads.
 ///
 /// A thread `q` (holding no promises) is *delayable* when either
 ///
-/// 1. it is a pure observer with only read-like transitions enabled —
-///    exactly [`reduce_pure_observers`]'s condition, kept verbatim so
-///    the dynamic layer never reduces less than the static one; or
+/// 1. it is a *pure observer*: every transition it currently has is a
+///    read (or exclusive-failure), and its remaining code can never
+///    write a shared location ([`Machine::thread_is_pure_observer`]); or
 ///
 /// 2. its future accesses are *private*: `may_writes(q)` (the locations
 ///    q's remaining code may still write, [`Machine::thread_may_writes`])
@@ -260,35 +192,62 @@ pub(crate) fn reduce_pure_observers(m: &Machine, transitions: &mut Vec<Transitio
 ///    `may_reads(q)` is disjoint from every other thread's future
 ///    writes.
 ///
+/// Case 1 commutes *state-identically*. Every step a pure observer will
+/// ever take is thread-local: it never appends to memory, never
+/// promises, and is certification-free. Its reads are indexed by
+/// timestamp: a `Read { t }` names one message, and an append by any
+/// other thread lands above every existing message, so each read
+/// candidate stays enabled with an unchanged effect. Its own steps touch
+/// nothing others can see, so it is independent — in both directions —
+/// of every transition any other thread will ever take.
+///
 /// Case 2 is where per-location footprints earn their keep: a thread
-/// that appends — which PR 5 could never delay, because appends
-/// order themselves in memory's single total order — can be delayed
-/// when nobody will ever observe its locations. Delaying it is *not*
-/// state-identical commutation: running the kept thread first and `q`
-/// later produces a memory whose messages sit at different absolute
-/// timestamps than in the avoided interleaving. It is outcome-preserving
-/// by a renumbering argument: the two executions are related by the
-/// order-isomorphism φ on timestamps that matches messages per location
-/// in stream order. φ respects every rule the machine evaluates —
-/// per-location coherence compares only same-location timestamps, view
-/// joins are monotone under φ, and certification of either side reads
-/// only locations the conditions keep disjoint from the other — so each
-/// avoided trace has a kept-first counterpart reaching a terminated
-/// state with the same register files and the same per-location final
-/// values, which is all an [`Outcome`] records.
+/// that appends can be delayed when nobody will ever observe its
+/// locations. This is *not* state-identical commutation: appends order
+/// themselves in memory's single total order, so running the kept
+/// thread first and `q` later produces a memory whose messages sit at
+/// different absolute timestamps than in the avoided interleaving. It is
+/// outcome-preserving by a renumbering argument: the two executions are
+/// related by the order-isomorphism φ on timestamps that matches
+/// messages per location in stream order. φ respects every rule the
+/// machine evaluates — per-location coherence compares only
+/// same-location timestamps, view joins are monotone under φ, and
+/// certification of either side reads only locations the conditions
+/// keep disjoint from the other — so each avoided trace has a kept-first
+/// counterpart reaching a terminated state with the same register files
+/// and the same per-location final values, which is all an [`Outcome`]
+/// records.
 ///
-/// Keeping the lowest delayable thread (plus every non-delayable
-/// thread's transitions) is a pure function of the state — the decision
-/// reads only `transitions` and the static may-access sets of the
-/// remaining code — so fingerprint deduplication stays sound: any two
-/// states with equal fingerprints prune identically. (Sleep-set-style
-/// history-dependent pruning would not survive dedup; see
-/// docs/architecture.md.)
+/// Keeping just the lowest delayable thread's transitions (plus every
+/// non-delayable thread's) is therefore a *persistent set*: any trace
+/// avoiding the kept set consists of other delayable threads' steps,
+/// each independent of the whole kept set, so every reachable
+/// terminated state (up to φ) is still reached by running the kept
+/// thread first and the delayed ones later. Outcomes are read only off
+/// terminated states, hence POR-on and POR-off outcome sets are
+/// identical.
 ///
-/// `tests/dpor_agreement.rs` asserts dpor-on ≡ dpor-off outcome sets
-/// across the catalogue, the generated RMW suites, and the language
-/// corpus, and an anti-rot test checks case 2 actually fires on a
-/// disjoint-writer workload.
+/// The decision reads only `transitions` and the static may-access sets
+/// of the remaining code, so it is a pure function of the state and
+/// fingerprint deduplication stays sound: any two states with equal
+/// fingerprints prune identically. That is why the engine uses
+/// persistent sets and not sleep sets: a sleep set depends on the path
+/// that reached a state, so it would need per-state sleep storage to
+/// survive state caching.
+///
+/// What stays unreduced: a thread whose remaining code may still write a
+/// location another thread touches cannot be delayed past an append (its
+/// later reads could observe it), nor collapsed while promisable (hoisted
+/// writes are exactly what the promise transitions in the kept set
+/// represent). The contended-lock workloads therefore reduce only in
+/// their read-only phases; read-parallel shapes (IRIW-style
+/// multi-observer tests, which dominate the litmus corpora) collapse
+/// multiplicatively.
+///
+/// `tests/por_agreement.rs` asserts POR-on ≡ POR-off outcome sets
+/// across the catalogue, the generated suites, and the language corpus,
+/// and anti-rot tests check both cases fire (IRIW observers and a
+/// disjoint-writer workload).
 pub(crate) fn reduce_delayable_threads(m: &Machine, transitions: &mut Vec<Transition>) {
     let n = m.num_threads();
     let mut seen = vec![false; n];

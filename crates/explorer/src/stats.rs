@@ -101,7 +101,7 @@ pub struct Stats {
     /// Restricted-key memo hits served in a *different* full-memory
     /// context than the entry was computed in — certificates that
     /// survived sibling appends to out-of-scope locations (the
-    /// incremental-recertification win; zero with `Config::dpor` off).
+    /// incremental-recertification win; zero with `Config::por` off).
     pub cert_survived: u64,
     /// States obtained by stealing from a sibling worker's deque (the
     /// work-stealing frontier; zero on the serial path). A healthy

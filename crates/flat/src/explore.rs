@@ -12,7 +12,7 @@
 
 use crate::machine::{FlatMachine, FlatStateKey, FlatTransition};
 use promising_core::ids::TId;
-use promising_core::{Config, Fingerprint, Footprint, MayAccess, Outcome};
+use promising_core::{Config, Fingerprint, MayAccess, Outcome};
 use promising_explorer::{Engine, SearchBudget, SearchModel, Stats};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -105,61 +105,13 @@ impl SearchModel for FlatModel {
         next
     }
 
-    fn footprint(&self, s: &FlatMachine, t: &FlatTransition) -> Footprint {
-        match *t {
-            // speculation guesses and store-exclusive failures touch only
-            // the acting thread's instance list
-            FlatTransition::FetchBranch { tid, .. } | FlatTransition::FailStx { tid, .. } => {
-                Footprint::local(tid.0)
-            }
-            FlatTransition::Satisfy { tid, idx } => match s.access_target(tid, idx) {
-                Some(loc) => Footprint::read(tid.0, loc),
-                None => Footprint::opaque(),
-            },
-            FlatTransition::Propagate { tid, idx } => match s.access_target(tid, idx) {
-                Some(loc) => Footprint::write(tid.0, loc, true),
-                None => Footprint::opaque(),
-            },
-            // the RMW's read half is a plain read of its location; the
-            // write half is an append whose pairing gate also *reads*
-            // the location's stream (a foreign append disables it)
-            FlatTransition::BindRmw { tid, idx } => match s.access_target(tid, idx) {
-                Some(loc) => Footprint::read(tid.0, loc),
-                None => Footprint::opaque(),
-            },
-            FlatTransition::PropagateRmw { tid, idx } => match s.access_target(tid, idx) {
-                Some(loc) => {
-                    let mut fp = Footprint::write(tid.0, loc, true);
-                    fp.reads.insert(loc);
-                    fp
-                }
-                None => Footprint::opaque(),
-            },
-        }
-    }
-
-    /// With the per-location dynamic layer on (`Config::dpor`), appends
-    /// to *disjoint* locations are independent: the canonical per-location
-    /// state encoding ([`FlatMachine::canonical_words`]) makes their two
-    /// interleavings fingerprint-equal, so they commute in the exact sense
-    /// the commutation proptests check. With it off, the strict relation
-    /// (appends never commute) of PR 5 applies.
-    fn independent(&self, s: &FlatMachine, a: &FlatTransition, b: &FlatTransition) -> bool {
-        let (fa, fb) = (self.footprint(s, a), self.footprint(s, b));
-        if self.config().por && self.config().dpor {
-            fa.independent_with_commuting_appends(&fb)
-        } else {
-            fa.independent_with(&fb)
-        }
-    }
-
+    /// The flat [`Config::por`] reduction: frozen reads first, else the
+    /// delayable-thread collapse. The model keeps the trait's
+    /// conservative `footprint`/`independent` defaults, because the
+    /// engine prunes only through `reduce`.
     fn reduce(&self, m: &FlatMachine, transitions: &mut Vec<FlatTransition>) {
-        if self.config().dpor {
-            if !reduce_flat_frozen_reads(m, transitions) {
-                reduce_flat_delayable(m, transitions);
-            }
-        } else {
-            reduce_flat_observers(m, transitions);
+        if !reduce_flat_frozen_reads(m, transitions) {
+            reduce_flat_delayable(m, transitions);
         }
     }
 }
@@ -175,65 +127,13 @@ fn tid_of(t: &FlatTransition) -> usize {
     }
 }
 
-/// Collapse co-enabled *pure observers*, as in the naive promising
-/// search — with one Flat-specific strengthening. A `Satisfy` does
-/// not name the write it binds (it always reads the coherence-latest
-/// one), so a delayed observer's *future* loads must also be immune
-/// to everyone else's appends: a thread is prunable only when it can
-/// never append again ([`FlatMachine::thread_future_writes`] empty —
-/// this also rules out pending store-exclusives, whose `FailStx`
-/// would otherwise race their own propagation window) and no other
-/// thread's possible future writes intersect its possible future
-/// reads. Under that condition every step the thread will ever take
-/// is thread-local with memory-independent effects, so keeping one
-/// such thread and delaying the rest is a persistent set.
-fn reduce_flat_observers(m: &FlatMachine, transitions: &mut Vec<FlatTransition>) {
-    let n = m.threads().len();
-    let mut enabled_safe = vec![true; n];
-    let mut seen = vec![false; n];
-    for t in transitions.iter() {
-        let (tid, safe) = match t {
-            FlatTransition::FetchBranch { tid, .. } => (tid.0, true),
-            FlatTransition::Satisfy { tid, .. } => (tid.0, true),
-            FlatTransition::FailStx { tid, .. }
-            | FlatTransition::Propagate { tid, .. }
-            | FlatTransition::BindRmw { tid, .. }
-            | FlatTransition::PropagateRmw { tid, .. } => (tid.0, false),
-        };
-        seen[tid] = true;
-        enabled_safe[tid] &= safe;
-    }
-    let mut prunable = Vec::with_capacity(n);
-    let mut future_writes: Vec<Option<MayAccess>> = vec![None; n];
-    let mut writes_of = |m: &FlatMachine, tid: usize| -> MayAccess {
-        future_writes[tid]
-            .get_or_insert_with(|| m.thread_future_writes(TId(tid)))
-            .clone()
-    };
-    for tid in 0..n {
-        let ok = seen[tid] && enabled_safe[tid] && writes_of(m, tid).is_empty() && {
-            let reads = m.thread_future_reads(TId(tid));
-            (0..n).all(|other| other == tid || !writes_of(m, other).intersects(&reads))
-        };
-        prunable.push(ok);
-    }
-    let mut observers = (0..n).filter(|&t| prunable[t]);
-    let Some(keep) = observers.next() else {
-        return;
-    };
-    if observers.next().is_none() {
-        return;
-    }
-    transitions.retain(|t| !prunable[tid_of(t)] || tid_of(t) == keep);
-}
-
-/// Frozen-read persistent sets (the sharper half of the `Config::dpor`
-/// layer): when every enabled transition of some thread `q` is a
-/// speculation guess (`FetchBranch`) or a `Satisfy` of a location **no
-/// other thread may ever write again**, exploring *only* `q`'s
-/// transitions at this state is a persistent set — every other thread's
-/// transitions (including its appends) are dropped here and re-examined
-/// one `q`-step later.
+/// Frozen-read persistent sets (the sharper half of the flat
+/// [`Config::por`] reduction): when every enabled transition of some
+/// thread `q` is a speculation guess (`FetchBranch`) or a `Satisfy` of a
+/// location **no other thread may ever write again**, exploring *only*
+/// `q`'s transitions at this state is a persistent set — every other
+/// thread's transitions (including its appends) are dropped here and
+/// re-examined one `q`-step later.
 ///
 /// Why the set is persistent:
 ///
@@ -306,31 +206,42 @@ fn reduce_flat_frozen_reads(m: &FlatMachine, transitions: &mut Vec<FlatTransitio
 }
 
 /// Per-state persistent sets over the per-location conflict structure
-/// (the `Config::dpor` layer): collapse co-enabled *delayable* threads.
+/// (the fallback half of the flat [`Config::por`] reduction): collapse
+/// co-enabled *delayable* threads.
 ///
 /// A thread `q` is delayable when its future accesses are mutually
 /// disjoint from every other thread's: no other thread may still write
-/// a location `q` may still read (a delayed `Satisfy` binds the
-/// coherence-latest write, so foreign appends to its location would
-/// change its value), and `q` may never write a location any other
-/// thread may still read *or write*. Unlike the PR 5 pure-observer rule
-/// ([`reduce_flat_observers`], still used with `dpor` off), `q` may
-/// still append — to locations nobody else touches — and every
-/// transition kind is allowed: under the canonical per-location state
-/// encoding ([`FlatMachine::canonical_words`]) `q`'s appends commute
-/// with everyone else's (the interleaving order of disjoint appends is
-/// erased by the encoding), its store-exclusive `atomic` windows read
-/// only its own locations' streams, and its reads bind identical values
-/// either side of the swap. Keeping the lowest delayable thread plus
-/// every non-delayable thread's transitions is therefore a persistent
-/// set up to the renumbering bisimulation the encoding quotients by.
+/// a location `q` may still read, and `q` may never write a location any
+/// other thread may still read *or write*.
 ///
-/// The delayable set strictly contains the PR 5 prunable set (empty
-/// future writes make the new conditions collapse to the old ones), so
-/// read-parallel workloads reduce at least as much; disjoint-writer
-/// workloads — which PR 5 could not touch — now collapse too
-/// (`tests/dpor_agreement.rs` has the anti-rot check). The decision is
-/// a pure function of the state, so fingerprint dedup stays sound.
+/// The read condition is the flat-specific strengthening of the naive
+/// model's pure-observer rule. A naive `Read { t }` names the message it
+/// reads, so a delayed observer's candidates are immune to appends; a
+/// flat `Satisfy` names no write — it always binds the coherence-latest
+/// one — so foreign appends to a location `q` may still read would
+/// change the value its delayed loads see. With no foreign writer left,
+/// every read `q` will ever do binds the same value on either side of a
+/// swap.
+///
+/// For a thread with no future writes
+/// ([`FlatMachine::thread_future_writes`] empty — this also rules out
+/// pending store-exclusives, whose `FailStx` would otherwise race their
+/// own propagation window), the conditions are exactly the observer
+/// condition: every step it will ever take is thread-local with
+/// memory-independent effects, so it commutes state-identically with
+/// everyone else's. A delayable `q` may also still append — to
+/// locations nobody else touches — and every transition kind is
+/// allowed: under the canonical per-location state encoding
+/// ([`FlatMachine::canonical_words`]) `q`'s appends commute with
+/// everyone else's (the interleaving order of disjoint appends is
+/// erased by the encoding), and its store-exclusive `atomic` windows
+/// read only its own locations' streams. Keeping the lowest delayable
+/// thread plus every non-delayable thread's transitions is therefore a
+/// persistent set up to the renumbering bisimulation the encoding
+/// quotients by. Read-parallel workloads collapse multiplicatively, and
+/// so do disjoint-writer workloads (`tests/por_agreement.rs` has the
+/// anti-rot check). The decision is a pure function of the state, so
+/// fingerprint dedup stays sound.
 fn reduce_flat_delayable(m: &FlatMachine, transitions: &mut Vec<FlatTransition>) {
     let n = m.threads().len();
     let mut seen = vec![false; n];

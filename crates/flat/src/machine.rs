@@ -145,7 +145,8 @@ pub struct FlatMachine {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum FlatStateKey {
     /// Raw state — per-thread instance lists and fetch state plus the
-    /// absolute-timestamp memory (used with `Config::dpor` off).
+    /// absolute-timestamp memory (used with `Config::por` off, the
+    /// unreduced reference).
     Raw {
         /// Per-thread instance lists and fetch state.
         threads: Vec<FlatThread>,
@@ -153,7 +154,7 @@ pub enum FlatStateKey {
         memory: Memory,
     },
     /// Canonical per-location word stream
-    /// ([`FlatMachine::canonical_words`], used with `Config::dpor` on):
+    /// ([`FlatMachine::canonical_words`], used with `Config::por` on):
     /// states that differ only in the interleaving order of appends to
     /// *different* locations share one key, merging them in the visited
     /// set.
@@ -208,12 +209,12 @@ impl FlatMachine {
     }
 
     /// Exact dedup key (stored by the paranoid visited-set mode to
-    /// detect fingerprint collisions). With the per-location dynamic POR
-    /// layer on (`Config::dpor`), this is the canonical word stream of
+    /// detect fingerprint collisions). With reductions on
+    /// (`Config::por`), this is the canonical word stream of
     /// [`FlatMachine::canonical_words`], so bisimilar states *compare
     /// equal* — merging them is the point, not a collision.
     pub fn state_key(&self) -> FlatStateKey {
-        if self.config.por && self.config.dpor {
+        if self.config.por {
             FlatStateKey::Canon(self.canonical_words())
         } else {
             FlatStateKey::Raw {
@@ -241,14 +242,14 @@ impl FlatMachine {
     ///   per-location position;
     /// * `outcome()` reads per-location final values and register values
     ///   stored directly in instance states;
-    /// * enabledness scans, footprints and the POR reduce look only at
+    /// * enabledness scans and the POR reduce look only at
     ///   instance states, resolved addresses and the static may-access
     ///   sets.
     ///
     /// Hence the timestamp order-isomorphism matching messages per
     /// location in stream order is a bisimulation relating two such
     /// states, and deduplicating them preserves the outcome set — this
-    /// is the per-location append independence of the dynamic POR layer,
+    /// is the per-location append independence of the POR reduction,
     /// realised as state merging rather than transition pruning. (The
     /// *promising* machine cannot do this: its scalar views cover
     /// timestamp prefixes, so the interleaving order of disjoint appends
@@ -306,7 +307,7 @@ impl FlatMachine {
     /// Stream the canonical encoding of [`FlatMachine::canonical_words`]
     /// into `out` without materialising a buffer — the dedup hot path
     /// sinks it straight into an [`FpHasher`], so fingerprinting a state
-    /// under `Config::dpor` no longer allocates a per-state word vector.
+    /// under `Config::por` no longer allocates a per-state word vector.
     pub fn canonical_words_into<W: WordSink>(&self, out: &mut W) {
         // ts -> (loc+1, per-location index); ts 0 (the initial write,
         // distinguished) -> (0, 0).
@@ -527,17 +528,17 @@ impl FlatMachine {
     /// A 128-bit fingerprint of the dynamic state for visited-set
     /// deduplication (see [`promising_core::fingerprint`]).
     ///
-    /// With the per-location dynamic POR layer on (`Config::dpor`), the
-    /// fingerprint hashes the canonical word stream
-    /// ([`FlatMachine::canonical_words`]) so bisimilar states merge;
-    /// otherwise it hashes the raw state with absolute timestamps.
+    /// With reductions on (`Config::por`), the fingerprint hashes the
+    /// canonical word stream ([`FlatMachine::canonical_words`]) so
+    /// bisimilar states merge; otherwise it hashes the raw state with
+    /// absolute timestamps.
     ///
     /// Instance operations are functions of their source statement except
     /// for branches (speculation guess + squash continuation), so the
     /// encoding covers `(stmt, state)` per instance plus the branch
     /// extras — much cheaper than hashing the cloned expression trees.
     pub fn fingerprint(&self) -> Fingerprint {
-        if self.config.por && self.config.dpor {
+        if self.config.por {
             let mut h = FpHasher::new();
             self.canonical_words_into(&mut h);
             return h.finish128();
@@ -1439,7 +1440,7 @@ impl FlatMachine {
     /// The resolved target location of the memory access instance at
     /// `idx` (load, store, or RMW), if its address is available — the
     /// location a `Satisfy`/`Propagate`/`BindRmw`/`PropagateRmw`
-    /// transition on it touches. Used by the POR footprints.
+    /// transition on it touches. Used by the frozen-read POR rule.
     pub fn access_target(&self, tid: TId, idx: usize) -> Option<Loc> {
         self.addr_of(tid, idx)
     }

@@ -1,96 +1,63 @@
-//! Validation of the per-location dynamic POR layer (PR 6,
-//! [`Config::dpor`]): with the layer on or off, every exploration
-//! strategy must produce *identical* outcome sets — across the named
-//! litmus catalogue, the generated RMW crosses on both architectures,
-//! and the compiled language corpus — while actually shrinking the
-//! search on append-bound shapes (anti-rot), and the incremental
-//! re-certification must agree answer-for-answer with fresh
-//! certification (property-tested, with restricted-key survived hits
-//! exercised).
+//! POR on ≡ off sweeps over the selections written for the per-location
+//! reductions: the restricted certification keys, the naive
+//! delayable-thread collapse and the flat model's canonical state
+//! merging. They are part of [`Config::por`], so each sweep compares the
+//! default search against POR off, the unreduced reference, under every
+//! strategy: the outcome sets must be identical, and the reduced search
+//! must never visit more states than the unreduced one. The
+//! `tests/por_agreement.rs` sweeps cover the other selections; the
+//! anti-rot and certification-memo tests live there too.
 //!
-//! [`Config::dpor`]: promising_core::Config
+//! [`Config::por`]: promising_core::Config
 
-use promising_core::ids::TId;
-use promising_core::{find_and_certify, find_and_certify_with, Arch, CertMemo, Config, Machine};
-use promising_explorer::{explore_naive, CertMode, NaiveModel, SearchModel, Stats};
-use promising_flat::{explore_flat, FlatMachine};
+use promising_core::Arch;
 use promising_litmus::{
     catalogue, generate_lang_subsample, generate_rmw_subsample, generate_subsample, lang_catalogue,
-    run_model_with, LitmusTest, ModelKind, DEFAULT_FUEL,
+    run_model_with, LitmusTest, ModelKind,
 };
-use promising_workloads::{by_spec, init_for};
 use proptest::prelude::*;
 
-/// All three strategies: the naive search (delayable-thread reduce +
-/// restricted cert keys), Flat (canonical state merging), and
-/// promise-first (restricted cert keys only).
+/// The naive search (delayable-thread collapse + restricted cert keys),
+/// Flat (canonical state merging), and promise-first (restricted cert
+/// keys only).
 const MODELS: [ModelKind; 3] = [
     ModelKind::PromisingNaive,
     ModelKind::Flat,
     ModelKind::Promising,
 ];
 
-fn assert_dpor_agreement(test: &LitmusTest) {
+/// Run `test` under `kind` with POR on and off: the outcome sets must be
+/// equal and POR on must visit no more states. `Err` names the mismatch.
+fn check_on_off(test: &LitmusTest, kind: ModelKind) -> Result<(), String> {
+    let on = run_model_with(test, kind, |c| c.with_por(true)).expect("POR-on run");
+    let off = run_model_with(test, kind, |c| c.with_por(false)).expect("POR-off run");
+    if on.outcomes != off.outcomes {
+        return Err(format!("{test}: {} POR outcome sets differ", kind.name()));
+    }
+    if on.states > off.states {
+        return Err(format!(
+            "{test}: {} POR on visits more states than off ({} vs {})",
+            kind.name(),
+            on.states,
+            off.states
+        ));
+    }
+    Ok(())
+}
+
+fn assert_on_off_agree(test: &LitmusTest) {
     for kind in MODELS {
         if test.flat_conservative && kind == ModelKind::Flat {
             continue;
         }
-        let on =
-            run_model_with(test, kind, |c| c.with_por(true).with_dpor(true)).expect("DPOR-on run");
-        let off = run_model_with(test, kind, |c| c.with_por(true).with_dpor(false))
-            .expect("DPOR-off run");
-        assert_eq!(
-            on.outcomes,
-            off.outcomes,
-            "{test}: {} DPOR-on and DPOR-off outcome sets differ",
-            kind.name()
-        );
+        check_on_off(test, kind).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
 #[test]
 fn catalogue_dpor_on_off_agree() {
     for test in catalogue() {
-        assert_dpor_agreement(&test);
-    }
-}
-
-/// PR 9 anti-rot for the bind/propagate split: the `rmw-acq-po-ld`
-/// family introduces a new interleaving point (the write half of an
-/// acquire RMW propagating *after* po-later loads bound), and the
-/// per-location DPOR layer must neither prune the recovered weak
-/// outcome nor invent it. Beyond on ≡ off (which
-/// [`catalogue_dpor_on_off_agree`] already covers), this pins the
-/// expectation verdict — the `exists` witness present exactly on the
-/// `allowed` entries — in *both* DPOR modes, for every strategy.
-#[test]
-fn rmw_acq_po_ld_family_verdicts_survive_dpor() {
-    let family: Vec<LitmusTest> = catalogue()
-        .into_iter()
-        .filter(|t| t.name.contains("RMW-acq-ld") || t.name.contains("RMW-audit"))
-        .collect();
-    assert!(
-        family.len() >= 17,
-        "family shrank: only {} RMW-acq-ld/RMW-audit entries",
-        family.len()
-    );
-    for test in &family {
-        let allowed = test.expect == Some(promising_litmus::Expectation::Allowed);
-        for kind in MODELS {
-            if test.flat_conservative && kind == ModelKind::Flat {
-                continue;
-            }
-            for dpor in [true, false] {
-                let run = run_model_with(test, kind, |c| c.with_por(true).with_dpor(dpor))
-                    .expect("family run");
-                assert_eq!(
-                    test.condition.holds(&run.outcomes),
-                    allowed,
-                    "{test}: {} (dpor={dpor}) verdict flipped",
-                    kind.name()
-                );
-            }
-        }
+        assert_on_off_agree(&test);
     }
 }
 
@@ -104,7 +71,7 @@ fn generated_suites_dpor_on_off_agree() {
         tests.extend(generate_rmw_subsample(arch, 13, arch as usize));
         assert!(tests.len() > 20, "{}: sample too small", arch.name());
         for test in &tests {
-            assert_dpor_agreement(test);
+            assert_on_off_agree(test);
         }
     }
 }
@@ -115,167 +82,15 @@ fn lang_corpus_dpor_on_off_agree() {
     tests.extend(generate_lang_subsample(31, 0));
     for test in &tests {
         for arch in [Arch::Arm, Arch::RiscV] {
-            assert_dpor_agreement(&test.compile(arch));
+            assert_on_off_agree(&test.compile(arch));
         }
     }
 }
 
-/// An append-bound program with per-thread locations: each thread
-/// repeatedly writes its own location then reads it back. Static POR
-/// cannot help (every transition appends), but the per-location layer
-/// collapses the interleavings of appends to distinct locations.
-fn disjoint_appenders(threads: usize, writes: usize) -> std::sync::Arc<promising_core::Program> {
-    use promising_core::{CodeBuilder, Expr, Program, Reg};
-    let mut ts = Vec::new();
-    for t in 0..threads {
-        let mut b = CodeBuilder::new();
-        let mut stmts = Vec::new();
-        for w in 0..writes {
-            stmts.push(b.store(Expr::val(t as i64), Expr::val(w as i64 + 1)));
-        }
-        stmts.push(b.load(Reg(1), Expr::val(t as i64)));
-        ts.push(b.finish_seq(&stmts));
-    }
-    std::sync::Arc::new(Program::new(ts))
-}
-
-#[test]
-fn dpor_actually_prunes_append_bound_shapes() {
-    // Guard against the layer silently rotting into a no-op, on both
-    // strategies it serves.
-    let program = disjoint_appenders(3, 2);
-
-    // Flat: canonical per-location state merging must shrink the
-    // visited set (the raw encoding keeps every append interleaving
-    // distinct).
-    let f_on = explore_flat(&FlatMachine::new(
-        program.clone(),
-        Config::arm().with_por(true).with_dpor(true),
-    ));
-    let f_off = explore_flat(&FlatMachine::new(
-        program.clone(),
-        Config::arm().with_por(true).with_dpor(false),
-    ));
-    assert_eq!(f_on.outcomes, f_off.outcomes);
-    assert!(
-        f_on.stats.states < f_off.stats.states,
-        "flat DPOR did not merge disjoint-append states ({} vs {})",
-        f_on.stats.states,
-        f_off.stats.states
-    );
-
-    // Naive: the delayable-thread reduce must fire (all threads have
-    // pairwise-disjoint future footprints here) and shrink the search.
-    let n_on = explore_naive(
-        &Machine::new(
-            program.clone(),
-            Config::arm().with_por(true).with_dpor(true),
-        ),
-        CertMode::Online,
-    );
-    let n_off = explore_naive(
-        &Machine::new(
-            program.clone(),
-            Config::arm().with_por(true).with_dpor(false),
-        ),
-        CertMode::Online,
-    );
-    assert_eq!(n_on.outcomes, n_off.outcomes);
-    assert!(n_on.stats.por_pruned > 0, "naive DPOR reduce never fired");
-    assert!(
-        n_on.stats.states < n_off.stats.states,
-        "naive DPOR did not shrink the visited set ({} vs {})",
-        n_on.stats.states,
-        n_off.stats.states
-    );
-}
-
-#[test]
-fn cert_memo_survives_sibling_appends_on_append_bound_workload() {
-    // The incremental-recertification acceptance property: on a real
-    // append-bound workload the restricted keys must produce *survived*
-    // hits (certificates reused across sibling appends to out-of-scope
-    // locations), with outcomes unchanged.
-    let w = by_spec("STC-100-010-000").expect("spec parses");
-    let init = init_for(&w);
-    let config = w.config(Arch::Arm);
-    let on = explore_naive(
-        &Machine::with_init(
-            w.program.clone(),
-            config.clone().with_dpor(true),
-            init.clone(),
-        ),
-        CertMode::Online,
-    );
-    let off = explore_naive(
-        &Machine::with_init(w.program.clone(), config.with_dpor(false), init),
-        CertMode::Online,
-    );
-    assert_eq!(on.outcomes, off.outcomes);
-    assert!(
-        on.stats.cert_survived > 0,
-        "no certificate survived a sibling append (hits {}, misses {})",
-        on.stats.cert_hits,
-        on.stats.cert_misses
-    );
-    assert_eq!(
-        off.stats.cert_survived, 0,
-        "DPOR-off must not use restricted keys"
-    );
-}
-
-/// Walk a machine along a seeded random path with a certification memo
-/// shared across the whole walk (so restricted-key entries persist
-/// across sibling appends), and at every state check that the memoised
-/// answer agrees with a from-scratch certification.
-fn check_memo_agrees_with_fresh(test: &LitmusTest, seed: u64) {
-    let config = Config::for_arch(test.arch).with_loop_fuel(test.loop_fuel.unwrap_or(DEFAULT_FUEL));
-    let m = Machine::with_init(test.program.clone(), config.clone(), test.init.clone());
-    let model = NaiveModel::new(&m, CertMode::Online);
-    let mut stats = Stats::default();
-    let mut cache = model.cache();
-    let mut rng = proptest::TestRng::new(seed);
-    let mut state = model.root(&mut stats);
-    let mut memo = CertMemo::for_config(&config);
-    for _step in 0..10 {
-        for tid in 0..state.program().threads().len() {
-            let shared = find_and_certify_with(&state, TId(tid), &mut memo, None);
-            let fresh = find_and_certify(&state, TId(tid));
-            if shared.bound_hit || fresh.bound_hit {
-                continue; // truncated answers are lower bounds, not exact
-            }
-            assert_eq!(
-                (
-                    shared.certified,
-                    &shared.promisable,
-                    &shared.certified_first_steps
-                ),
-                (
-                    fresh.certified,
-                    &fresh.promisable,
-                    &fresh.certified_first_steps
-                ),
-                "{test}: memoised certification of thread {tid} diverges from fresh"
-            );
-        }
-        if model.is_final(&state, &mut stats) {
-            break;
-        }
-        let transitions = model.expand(&state, &mut cache, &mut stats, None);
-        if transitions.is_empty() {
-            break;
-        }
-        let next = &transitions[(rng.below(transitions.len() as u64)) as usize];
-        state = model.apply(&state, next, &mut stats);
-    }
-    let (hits, misses, _survived) = memo.counters();
-    assert!(hits + misses > 0, "{test}: the memo was never consulted");
-}
-
-/// A strategy choosing random generated litmus tests on a random
-/// architecture, biased towards the RMW cross (promises + exclusives
-/// are what certification actually has to work for).
-fn generated_test_strategy() -> impl Strategy<Value = LitmusTest> {
+/// Random generated litmus tests on a random architecture, biased
+/// towards the RMW cross (promises + exclusives are what certification
+/// actually has to work for).
+fn rmw_biased_test_strategy() -> impl Strategy<Value = LitmusTest> {
     (any::<bool>(), 0..10_000usize).prop_map(|(riscv, ix)| {
         let arch = if riscv { Arch::RiscV } else { Arch::Arm };
         let mut tests = generate_rmw_subsample(arch, 7, ix % 7);
@@ -288,32 +103,15 @@ fn generated_test_strategy() -> impl Strategy<Value = LitmusTest> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// DPOR-on ≡ DPOR-off on random generated programs, for the two
-    /// strategies with non-trivial reduce hooks.
+    /// POR on ≡ off on random generated programs, for the two strategies
+    /// with non-trivial reduce hooks.
     #[test]
-    fn dpor_on_off_agree_on_random_programs(test in generated_test_strategy()) {
+    fn dpor_on_off_agree_on_random_programs(test in rmw_biased_test_strategy()) {
         for kind in [ModelKind::PromisingNaive, ModelKind::Flat] {
             if test.flat_conservative && kind == ModelKind::Flat {
                 continue;
             }
-            let on = run_model_with(&test, kind, |c| c.with_por(true).with_dpor(true))
-                .expect("on");
-            let off = run_model_with(&test, kind, |c| c.with_por(true).with_dpor(false))
-                .expect("off");
-            prop_assert_eq!(
-                &on.outcomes, &off.outcomes,
-                "{}: {} DPOR mismatch", test.name, kind.name()
-            );
+            prop_assert_eq!(check_on_off(&test, kind), Ok(()));
         }
-    }
-
-    /// Restricted-memory memo hits agree with fresh certification on
-    /// random programs and random paths.
-    #[test]
-    fn restricted_memo_agrees_with_fresh_certification(
-        test in generated_test_strategy(),
-        seed in 1..u64::MAX,
-    ) {
-        check_memo_agrees_with_fresh(&test, seed);
     }
 }

@@ -1,29 +1,41 @@
-//! Validation of the partial-order reduction (PR 5): with
-//! [`Config::por`] on or off, every exploration strategy must produce
-//! *identical* outcome sets — across the named litmus catalogue, the
-//! systematically generated suites (shapes × orderings × RMW links), the
-//! compiled language corpus on both architectures, and random programs
-//! (property-tested). The reduction's building blocks are validated
-//! directly too: every transition pair the `SearchModel::independent`
-//! hook claims independent must actually commute, state-for-state, with
-//! enabledness preserved in both directions.
+//! Validation of the search reductions ([`Config::por`]): with them on
+//! or off, every exploration strategy must produce *identical* outcome
+//! sets — across the named litmus catalogue, the systematically
+//! generated suites (shapes × orderings × RMW links), the compiled
+//! language corpus on both architectures, and random programs
+//! (property-tested). POR off is the unreduced reference: no `reduce`,
+//! raw flat states, full certification keys. Anti-rot tests check that
+//! the reductions actually fire (observer collapse, delayable-thread
+//! collapse, flat state merging, surviving certificates). The building
+//! blocks are validated directly too: every transition pair the
+//! `SearchModel::independent` hook claims independent must actually
+//! commute, state-for-state, with enabledness preserved in both
+//! directions, and memoised certification with restricted keys must
+//! agree answer-for-answer with fresh certification under POR off.
+//! `tests/dpor_agreement.rs` sweeps further selections of the same
+//! suites with POR on and off.
 //!
 //! [`Config::por`]: promising_core::Config
 
 use promising_core::ids::TId;
-use promising_core::{Config, Machine, Transition, TransitionKind};
+use promising_core::{
+    find_and_certify, find_and_certify_with, Arch, CertMemo, Config, Machine, Transition,
+    TransitionKind,
+};
 use promising_explorer::{explore_naive, CertMode, Engine, NaiveModel, SearchModel, Stats};
+use promising_flat::{explore_flat, FlatMachine};
 use promising_litmus::{
     catalogue, generate_lang_subsample, generate_rmw_subsample, generate_subsample,
     generate_three_thread_suite, lang_catalogue, run_model_with, LitmusTest, ModelKind,
     DEFAULT_FUEL,
 };
+use promising_workloads::{by_spec, init_for};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 /// The two strategies the reduction actually prunes, plus promise-first
-/// (whose reduce hook is the default no-op — the sweep pins that its
-/// outcome sets are unaffected by the flag too).
+/// (whose reduce hook is the default no-op but whose certification keys
+/// follow the flag).
 const MODELS: [ModelKind; 3] = [
     ModelKind::PromisingNaive,
     ModelKind::Flat,
@@ -58,7 +70,6 @@ fn generated_suites_por_on_off_agree() {
     // Shapes × link orderings, the three-thread (IRIW/WRC) shapes —
     // where the observer collapse actually fires — and the RMW cross,
     // on both architectures.
-    use promising_core::Arch;
     for arch in [Arch::Arm, Arch::RiscV] {
         let mut tests = generate_subsample(arch, 13, arch as usize);
         tests.extend(
@@ -78,12 +89,49 @@ fn generated_suites_por_on_off_agree() {
 #[test]
 fn lang_corpus_por_on_off_agree() {
     // The language-level corpus, compiled to both architectures.
-    use promising_core::Arch;
     let mut tests = lang_catalogue();
     tests.extend(generate_lang_subsample(29, 0));
     for test in &tests {
         for arch in [Arch::Arm, Arch::RiscV] {
             assert_por_agreement(&test.compile(arch));
+        }
+    }
+}
+
+/// PR 9 anti-rot for the bind/propagate split: the `rmw-acq-po-ld`
+/// family introduces a new interleaving point (the write half of an
+/// acquire RMW propagating *after* po-later loads bound), and the
+/// reduction must neither prune the recovered weak outcome nor invent
+/// it. Beyond on ≡ off (which [`catalogue_por_on_off_agree`] already
+/// covers), this pins the expectation verdict — the `exists` witness
+/// present exactly on the `allowed` entries — with POR on and off, for
+/// every strategy.
+#[test]
+fn rmw_acq_po_ld_family_verdicts_survive_por() {
+    let family: Vec<LitmusTest> = catalogue()
+        .into_iter()
+        .filter(|t| t.name.contains("RMW-acq-ld") || t.name.contains("RMW-audit"))
+        .collect();
+    assert!(
+        family.len() >= 17,
+        "family shrank: only {} RMW-acq-ld/RMW-audit entries",
+        family.len()
+    );
+    for test in &family {
+        let allowed = test.expect == Some(promising_litmus::Expectation::Allowed);
+        for kind in MODELS {
+            if test.flat_conservative && kind == ModelKind::Flat {
+                continue;
+            }
+            for por in [true, false] {
+                let run = run_model_with(test, kind, |c| c.with_por(por)).expect("family run");
+                assert_eq!(
+                    test.condition.holds(&run.outcomes),
+                    allowed,
+                    "{test}: {} (por={por}) verdict flipped",
+                    kind.name()
+                );
+            }
         }
     }
 }
@@ -119,6 +167,103 @@ fn por_actually_prunes_observer_shapes() {
     );
     assert_eq!(off.stats.por_pruned, 0, "POR-off must not prune");
     assert_eq!(on.outcomes, off.outcomes);
+}
+
+/// An append-bound program with per-thread locations: each thread
+/// repeatedly writes its own location then reads it back. No thread is
+/// a pure observer (every thread appends), so only the per-location
+/// rules can shrink it: the naive delayable-thread collapse and the flat
+/// model's canonical state merging.
+fn disjoint_appenders(threads: usize, writes: usize) -> std::sync::Arc<promising_core::Program> {
+    use promising_core::{CodeBuilder, Expr, Program, Reg};
+    let mut ts = Vec::new();
+    for t in 0..threads {
+        let mut b = CodeBuilder::new();
+        let mut stmts = Vec::new();
+        for w in 0..writes {
+            stmts.push(b.store(Expr::val(t as i64), Expr::val(w as i64 + 1)));
+        }
+        stmts.push(b.load(Reg(1), Expr::val(t as i64)));
+        ts.push(b.finish_seq(&stmts));
+    }
+    std::sync::Arc::new(Program::new(ts))
+}
+
+#[test]
+fn por_actually_prunes_append_bound_shapes() {
+    // Guard against the per-location rules silently rotting into a
+    // no-op, on both strategies they serve.
+    let program = disjoint_appenders(3, 2);
+
+    // Flat: canonical per-location state merging must shrink the
+    // visited set (the raw encoding keeps every append interleaving
+    // distinct).
+    let f_on = explore_flat(&FlatMachine::new(program.clone(), Config::arm()));
+    let f_off = explore_flat(&FlatMachine::new(
+        program.clone(),
+        Config::arm().with_por(false),
+    ));
+    assert_eq!(f_on.outcomes, f_off.outcomes);
+    assert!(
+        f_on.stats.states < f_off.stats.states,
+        "flat POR did not merge disjoint-append states ({} vs {})",
+        f_on.stats.states,
+        f_off.stats.states
+    );
+
+    // Naive: the delayable-thread reduce must fire (all threads have
+    // pairwise-disjoint future footprints here) and shrink the search.
+    let n_on = explore_naive(
+        &Machine::new(program.clone(), Config::arm()),
+        CertMode::Online,
+    );
+    let n_off = explore_naive(
+        &Machine::new(program, Config::arm().with_por(false)),
+        CertMode::Online,
+    );
+    assert_eq!(n_on.outcomes, n_off.outcomes);
+    assert!(
+        n_on.stats.por_pruned > 0,
+        "naive delayable collapse never fired"
+    );
+    assert_eq!(n_off.stats.por_pruned, 0, "POR-off must not prune");
+    assert!(
+        n_on.stats.states < n_off.stats.states,
+        "naive POR did not shrink the visited set ({} vs {})",
+        n_on.stats.states,
+        n_off.stats.states
+    );
+}
+
+#[test]
+fn cert_memo_survives_sibling_appends_on_append_bound_workload() {
+    // The incremental-recertification acceptance property: on a real
+    // append-bound workload the restricted keys must produce *survived*
+    // hits (certificates reused across sibling appends to out-of-scope
+    // locations), with outcomes unchanged. POR off is the unreduced
+    // reference, so it must use full keys only.
+    let w = by_spec("STC-100-010-000").expect("spec parses");
+    let init = init_for(&w);
+    let config = w.config(Arch::Arm);
+    let on = explore_naive(
+        &Machine::with_init(w.program.clone(), config.clone(), init.clone()),
+        CertMode::Online,
+    );
+    let off = explore_naive(
+        &Machine::with_init(w.program.clone(), config.with_por(false), init),
+        CertMode::Online,
+    );
+    assert_eq!(on.outcomes, off.outcomes);
+    assert!(
+        on.stats.cert_survived > 0,
+        "no certificate survived a sibling append (hits {}, misses {})",
+        on.stats.cert_hits,
+        on.stats.cert_misses
+    );
+    assert_eq!(
+        off.stats.cert_survived, 0,
+        "POR-off must not use restricted keys"
+    );
 }
 
 #[test]
@@ -225,6 +370,60 @@ fn applicable(m: &Machine, tr: &Transition) -> bool {
     m.clone().apply(tr).is_ok()
 }
 
+/// Walk a machine along a seeded random path with a certification memo
+/// shared across the whole walk (so restricted-key entries persist
+/// across sibling appends), and at every state check that the memoised
+/// answer agrees with a from-scratch certification of the same state
+/// under POR off (full keys only), walked in lockstep.
+fn check_memo_agrees_with_fresh(test: &LitmusTest, seed: u64) {
+    let config = Config::for_arch(test.arch).with_loop_fuel(test.loop_fuel.unwrap_or(DEFAULT_FUEL));
+    let machine =
+        |config: Config| Machine::with_init(test.program.clone(), config, test.init.clone());
+    let model = NaiveModel::new(&machine(config.clone()), CertMode::Online);
+    let reference = NaiveModel::new(&machine(config.clone().with_por(false)), CertMode::Online);
+    let mut stats = Stats::default();
+    let mut cache = model.cache();
+    let mut rng = proptest::TestRng::new(seed);
+    let mut state = model.root(&mut stats);
+    let mut fresh_state = reference.root(&mut stats);
+    let mut memo = CertMemo::for_config(&config);
+    for _step in 0..10 {
+        assert_eq!(state.fingerprint(), fresh_state.fingerprint());
+        for tid in 0..state.program().threads().len() {
+            let shared = find_and_certify_with(&state, TId(tid), &mut memo, None);
+            let fresh = find_and_certify(&fresh_state, TId(tid));
+            if shared.bound_hit || fresh.bound_hit {
+                continue; // truncated answers are lower bounds, not exact
+            }
+            assert_eq!(
+                (
+                    shared.certified,
+                    &shared.promisable,
+                    &shared.certified_first_steps
+                ),
+                (
+                    fresh.certified,
+                    &fresh.promisable,
+                    &fresh.certified_first_steps
+                ),
+                "{test}: memoised certification of thread {tid} diverges from fresh"
+            );
+        }
+        if model.is_final(&state, &mut stats) {
+            break;
+        }
+        let transitions = model.expand(&state, &mut cache, &mut stats, None);
+        if transitions.is_empty() {
+            break;
+        }
+        let next = &transitions[(rng.below(transitions.len() as u64)) as usize];
+        state = model.apply(&state, next, &mut stats);
+        fresh_state = reference.apply(&fresh_state, next, &mut stats);
+    }
+    let (hits, misses, _survived) = memo.counters();
+    assert!(hits + misses > 0, "{test}: the memo was never consulted");
+}
+
 #[test]
 fn independent_transitions_commute_on_observer_shapes() {
     // Deterministic check on the shapes with the most cross-thread
@@ -241,14 +440,17 @@ fn independent_transitions_commute_on_observer_shapes() {
 
 // ---- property tests ---------------------------------------------------
 
-/// A strategy choosing random generated litmus tests (shape × ordering
-/// crosses plus the RMW-link cross) on a random architecture.
+/// A strategy choosing random generated litmus tests on a random
+/// architecture, from one of two mixes: the shape × ordering cross at
+/// stride 7 plus the RMW-link cross at stride 11, or the mix biased
+/// towards the RMW cross (stride 7; promises + exclusives are what
+/// certification actually has to work for) plus shapes at stride 11.
 fn generated_test_strategy() -> impl Strategy<Value = LitmusTest> {
-    (any::<bool>(), 0..10_000usize).prop_map(|(riscv, ix)| {
-        use promising_core::Arch;
+    (any::<bool>(), any::<bool>(), 0..10_000usize).prop_map(|(riscv, rmw_bias, ix)| {
         let arch = if riscv { Arch::RiscV } else { Arch::Arm };
-        let mut tests = generate_subsample(arch, 7, ix % 7);
-        tests.extend(generate_rmw_subsample(arch, 11, ix % 11));
+        let (shapes, rmws) = if rmw_bias { (11, 7) } else { (7, 11) };
+        let mut tests = generate_subsample(arch, shapes, ix % shapes);
+        tests.extend(generate_rmw_subsample(arch, rmws, ix % rmws));
         let pick = ix % tests.len();
         tests.swap_remove(pick)
     })
@@ -300,6 +502,16 @@ proptest! {
             sampled.outcomes.is_subset(&exhaustive.outcomes),
             "{}: sampled outcomes escape the exhaustive set", test.name
         );
+    }
+
+    /// Restricted-memory memo hits agree with fresh POR-off
+    /// certification on random programs and random paths.
+    #[test]
+    fn restricted_memo_agrees_with_fresh_certification(
+        test in generated_test_strategy(),
+        seed in 1..u64::MAX,
+    ) {
+        check_memo_agrees_with_fresh(&test, seed);
     }
 }
 

@@ -203,19 +203,14 @@ fn outcomes_digest_byte_identical_across_workers_and_reductions() {
     // order, or which reduction is active. The visited set only ever
     // suppresses re-expansion, so the outcome set — and therefore the
     // canonical serialisation — must be a pure function of the model.
-    // Every 4th catalogue test × {por+dpor, por-only, no-reduction} ×
-    // workers {1, 2, 4} × all three strategies.
+    // Every 4th catalogue test × POR {on, off} × workers {1, 2, 4} × all
+    // three strategies.
     for (i, test) in catalogue().into_iter().enumerate() {
         if i % 4 != 0 {
             continue;
         }
-        for (por, dpor) in [(true, true), (true, false), (false, false)] {
-            let cfg = |w: usize| {
-                config_for(&test)
-                    .with_por(por)
-                    .with_dpor(dpor)
-                    .with_workers(w)
-            };
+        for por in [true, false] {
+            let cfg = |w: usize| config_for(&test).with_por(por).with_workers(w);
             let ref_pf = explore_promise_first(&machine_for(&test, cfg(1)));
             let ref_naive = explore_naive(&machine_for(&test, cfg(1)), CertMode::Online);
             let ref_flat = (!test.flat_conservative).then(|| {
@@ -230,18 +225,18 @@ fn outcomes_digest_byte_identical_across_workers_and_reductions() {
                 assert_eq!(
                     ref_pf.outcomes_digest(),
                     pf.outcomes_digest(),
-                    "{test}: promise-first digest at {workers} workers (por={por}, dpor={dpor})"
+                    "{test}: promise-first digest at {workers} workers (por={por})"
                 );
                 assert_eq!(
                     ref_pf.outcomes_json(),
                     pf.outcomes_json(),
-                    "{test}: promise-first JSON at {workers} workers (por={por}, dpor={dpor})"
+                    "{test}: promise-first JSON at {workers} workers (por={por})"
                 );
                 let nv = explore_naive(&machine_for(&test, cfg(workers)), CertMode::Online);
                 assert_eq!(
                     ref_naive.outcomes_digest(),
                     nv.outcomes_digest(),
-                    "{test}: naive digest at {workers} workers (por={por}, dpor={dpor})"
+                    "{test}: naive digest at {workers} workers (por={por})"
                 );
                 if let Some(rf) = &ref_flat {
                     let fl = explore_flat(&FlatMachine::with_init(
@@ -252,7 +247,7 @@ fn outcomes_digest_byte_identical_across_workers_and_reductions() {
                     assert_eq!(
                         rf.outcomes_digest(),
                         fl.outcomes_digest(),
-                        "{test}: flat digest at {workers} workers (por={por}, dpor={dpor})"
+                        "{test}: flat digest at {workers} workers (por={por})"
                     );
                 }
             }
