@@ -27,14 +27,16 @@
 //! complete; the process exits 1 otherwise.
 //!
 //! `--worker-sweep 1,2,4,8` re-runs each *flat* default cell once per
-//! worker count over the work-stealing frontier, asserting the outcome
-//! set identical to the serial cell, and emits a per-row
+//! worker count, asserting the outcome digest byte-identical to the
+//! serial cell's (`promising_bench::worker_sweep`), and emits a per-row
 //! `worker_sweep` series in the JSON. The snapshot-level
 //! `cores`/`worker_mode` pair says how to read it: speedup ratios are
 //! only printed when the host has more than one logical core.
 
 use promising_bench::cli::{Cli, Opt};
-use promising_bench::{host_cpus, sweep_cell_text, sweep_json, worker_mode, SweepCell, Table};
+use promising_bench::{
+    host_cpus, sweep_cell_text, sweep_json, worker_mode, worker_sweep, SweepCell, Table,
+};
 use promising_core::{Arch, CodeBuilder, Config, Expr, Loc, Machine, Program, Reg, Val};
 use promising_explorer::{explore_naive_budget, CertMode, Exploration, SearchBudget};
 use promising_flat::{explore_flat_budget, FlatMachine};
@@ -192,24 +194,9 @@ fn main() {
             };
             let [off, on] = settings(&config);
             let cells = [flat(off), flat(on.clone())];
-            let sweep = args
-                .worker_sweep
-                .iter()
-                .map(|&n| {
-                    let e = flat(on.clone().with_workers(n));
-                    if !e.stats.truncated() && !cells[1].stats.truncated() {
-                        assert_eq!(
-                            e.outcomes, cells[1].outcomes,
-                            "{name}: {n}-worker and serial flat outcome sets must agree"
-                        );
-                    }
-                    SweepCell {
-                        workers: n,
-                        secs: (!e.stats.truncated()).then_some(e.stats.wall_time.as_secs_f64()),
-                        steals: e.stats.steals,
-                    }
-                })
-                .collect();
+            let sweep = worker_sweep(name, "flat", &args.worker_sweep, &cells[1], |n| {
+                flat(on.clone().with_workers(n))
+            });
             (cells, sweep)
         };
 
@@ -349,7 +336,7 @@ fn main() {
                 r.truncated(),
                 r.outcomes_equal(),
             );
-            out.push_str(&sweep_json(&r.sweep, cores));
+            out.push_str(&sweep_json("worker_sweep", &r.sweep, cores));
             let _ = writeln!(out, "}}{}", if i + 1 < rows.len() { "," } else { "" });
         }
         let _ = writeln!(out, "  ]");

@@ -9,11 +9,12 @@
 //!   sets appear as canonically sorted digests (`outcomes_digest`), so
 //!   only the timing fields vary across runs and worker counts;
 //! * `--no-flat` — skip the Flat-lite cells;
-//! * `--worker-sweep 1,2,4,8` — re-run the promising side once per
-//!   worker count, assert the outcome digests byte-identical to the
-//!   serial cell, and emit a per-row `worker_sweep` series. Speedup
-//!   ratios appear only when the host has more than one logical core
-//!   (snapshot-level `cores` / `worker_mode`);
+//! * `--worker-sweep 1,2,4,8` — re-run the promising side, and the flat
+//!   side unless `--no-flat`, once per worker count, assert every
+//!   completed cell's outcome digest byte-identical to its side's serial
+//!   cell, and emit per-row `worker_sweep` and `flat_worker_sweep`
+//!   series. Speedup ratios appear only when the host has more than one
+//!   logical core (snapshot-level `cores` / `worker_mode`);
 //! * `--rows A,B` — restrict to the named rows;
 //! * `--sample N` / `--seed S` — additionally run `N` seeded random
 //!   promise walks per row (`Engine::sample`); sampled outcome sets are
@@ -21,7 +22,8 @@
 
 use crate::cli::Cli;
 use crate::table::{
-    fmt_duration, host_cpus, json_secs, sweep_cell_text, sweep_json, worker_mode, SweepCell, Table,
+    completed_secs, fmt_duration, host_cpus, json_secs, sweep_cell_text, sweep_json, worker_mode,
+    worker_sweep, SweepCell, Table,
 };
 use promising_core::{Arch, Config, Machine};
 use promising_explorer::{explore_promise_first_budget, Engine, PromiseFirstModel, SearchBudget};
@@ -32,6 +34,13 @@ use std::time::Duration;
 
 /// One measured cell: `None` = over the timeout ("ooT").
 type Cell = Option<f64>;
+
+/// The text-table cells of a sweep, annotated with speedups over its
+/// 1-worker cell where the host can show them.
+fn sweep_texts(cells: &[SweepCell], cores: usize) -> impl Iterator<Item = String> + '_ {
+    let base = cells.iter().find(|c| c.workers == 1).and_then(|c| c.secs);
+    cells.iter().map(move |c| sweep_cell_text(c, base, cores))
+}
 
 struct Row {
     spec: String,
@@ -50,6 +59,8 @@ struct Row {
     flat: Option<(Cell, u64, &'static str)>,
     /// The `--worker-sweep` series: one cell per requested worker count.
     sweep: Vec<SweepCell>,
+    /// The same series for the flat side (empty under `--no-flat`).
+    flat_sweep: Vec<SweepCell>,
     sampled: Option<(Cell, usize)>,
 }
 
@@ -65,7 +76,6 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
     let no_flat = args.switch("--no-flat");
     let cores = host_cpus();
     let budget = SearchBudget::deadline(Some(args.timeout));
-    let secs = |truncated: bool, wall: Duration| (!truncated).then_some(wall.as_secs_f64());
     let fmt_cell = |c: Cell| fmt_duration(c.map(Duration::from_secs_f64));
 
     println!("{title} (timeout {}s per cell)\n", args.timeout.as_secs());
@@ -82,6 +92,9 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
         .map(|s| s.to_string())
         .collect();
     header.extend(args.worker_sweep.iter().map(|w| format!("Sweep-w{w}")));
+    if !no_flat {
+        header.extend(args.worker_sweep.iter().map(|w| format!("F-sweep-w{w}")));
+    }
     if let Some(n) = args.sample {
         header.push(format!("Sampled({n})"));
     }
@@ -103,40 +116,25 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
             }
         }
 
-        let sweep: Vec<SweepCell> = args
-            .worker_sweep
-            .iter()
-            .map(|&n| {
-                let e =
-                    explore_promise_first_budget(&machine(config.clone().with_workers(n)), budget);
-                if !e.stats.truncated() && !p.stats.truncated() {
-                    assert_eq!(
-                        e.outcomes_digest(),
-                        p.outcomes_digest(),
-                        "{spec}: {n}-worker outcome digest must be byte-identical to serial"
-                    );
-                }
-                SweepCell {
-                    workers: n,
-                    secs: secs(e.stats.truncated(), e.stats.wall_time),
-                    steals: e.stats.steals,
-                }
-            })
-            .collect();
-
-        let flat = (!no_flat).then(|| {
-            let fm = FlatMachine::with_init(
-                w.program.clone(),
-                w.config_unshared(Arch::Arm),
-                init.clone(),
-            );
-            let f = explore_flat_budget(&fm, budget);
-            (
-                secs(f.stats.truncated(), f.stats.wall_time),
-                f.stats.states,
-                f.stats.stop.name(),
-            )
+        let sweep = worker_sweep(spec, "promising", &args.worker_sweep, &p, |n| {
+            explore_promise_first_budget(&machine(config.clone().with_workers(n)), budget)
         });
+
+        let (flat, flat_sweep) = if no_flat {
+            (None, Vec::new())
+        } else {
+            let flat_config = w.config_unshared(Arch::Arm);
+            let flat_run = |config: Config| {
+                let fm = FlatMachine::with_init(w.program.clone(), config, init.clone());
+                explore_flat_budget(&fm, budget)
+            };
+            let f = flat_run(flat_config.clone());
+            let sweep = worker_sweep(spec, "flat", &args.worker_sweep, &f, |n| {
+                flat_run(flat_config.clone().with_workers(n))
+            });
+            let secs = completed_secs(&f);
+            (Some((secs, f.stats.states, f.stats.stop.name())), sweep)
+        };
 
         let sampled = args.sample.map(|n| {
             let s = Engine::new(PromiseFirstModel::new(&m))
@@ -148,15 +146,12 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
                     "{spec}: sampled outcomes must be a subset of exhaustive"
                 );
             }
-            (
-                secs(s.stats.truncated(), s.stats.wall_time),
-                s.outcomes.len(),
-            )
+            (completed_secs(&s), s.outcomes.len())
         });
 
         let row = Row {
             spec: spec.clone(),
-            promising: secs(p.stats.truncated(), p.stats.wall_time),
+            promising: completed_secs(&p),
             p_cpu: p.stats.cpu_time.as_secs_f64(),
             p_states: p.stats.states,
             p_outcomes: p.outcomes.len(),
@@ -164,6 +159,7 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
             p_stop: p.stats.stop.name(),
             flat,
             sweep,
+            flat_sweep,
             sampled,
         };
 
@@ -178,16 +174,8 @@ pub fn run_time_table(cli: &Cli, title: &str, rows: &[&str]) {
             row.p_states.to_string(),
             flat_states.to_string(),
         ];
-        let sweep_base = row
-            .sweep
-            .iter()
-            .find(|c| c.workers == 1)
-            .and_then(|c| c.secs);
-        cells.extend(
-            row.sweep
-                .iter()
-                .map(|c| sweep_cell_text(c, sweep_base, cores)),
-        );
+        cells.extend(sweep_texts(&row.sweep, cores));
+        cells.extend(sweep_texts(&row.flat_sweep, cores));
         if let Some((c, outcomes)) = &row.sampled {
             cells.push(format!("{} ({} outc.)", fmt_cell(*c), outcomes));
         }
@@ -241,7 +229,8 @@ fn render_json(suite: &str, timeout: Duration, rows: &[Row]) -> String {
                 json_secs(secs),
             );
         }
-        out.push_str(&sweep_json(&r.sweep, cores));
+        out.push_str(&sweep_json("worker_sweep", &r.sweep, cores));
+        out.push_str(&sweep_json("flat_worker_sweep", &r.flat_sweep, cores));
         if let Some((cell, outcomes)) = &r.sampled {
             let _ = write!(
                 out,

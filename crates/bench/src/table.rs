@@ -1,5 +1,7 @@
-//! Minimal fixed-width table rendering for the experiment binaries.
+//! Minimal fixed-width table rendering, timing and `--worker-sweep`
+//! helpers for the experiment binaries.
 
+use promising_explorer::Exploration;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -137,17 +139,54 @@ impl SweepCell {
     }
 }
 
-/// Render the `"worker_sweep": [..]` JSON fragment for one row
-/// (leading `, ` included; empty string for an empty sweep). Each cell
-/// carries a `"mode"`-free local view — the snapshot-level `"cores"` +
-/// `"worker_mode"` pair says how to read it — and a `"speedup"` key
-/// that is only present when [`SweepCell::speedup`] is defined.
-pub fn sweep_json(cells: &[SweepCell], cores: usize) -> String {
+/// Wall seconds of a search, `None` if it hit its budget ("ooT").
+pub fn completed_secs(e: &Exploration) -> Option<f64> {
+    (!e.stats.truncated()).then_some(e.stats.wall_time.as_secs_f64())
+}
+
+/// Re-run one search of row `spec` at each `--worker-sweep` count
+/// (`side` names the search in the failure message). Every completed
+/// cell's outcome digest must be byte-identical to the serial cell
+/// `base`'s.
+pub fn worker_sweep(
+    spec: &str,
+    side: &str,
+    counts: &[usize],
+    base: &Exploration,
+    run: impl Fn(usize) -> Exploration,
+) -> Vec<SweepCell> {
+    counts
+        .iter()
+        .map(|&n| {
+            let e = run(n);
+            if !e.stats.truncated() && !base.stats.truncated() {
+                assert_eq!(
+                    e.outcomes_digest(),
+                    base.outcomes_digest(),
+                    "{spec}: {n}-worker {side} outcome digest must be byte-identical to serial"
+                );
+            }
+            SweepCell {
+                workers: n,
+                secs: completed_secs(&e),
+                steals: e.stats.steals,
+            }
+        })
+        .collect()
+}
+
+/// Render the `"<key>": [..]` JSON fragment of one row's sweep, e.g.
+/// `"worker_sweep"` (leading `, ` included; empty string for an empty
+/// sweep). Each cell carries a `"mode"`-free local view — the
+/// snapshot-level `"cores"` + `"worker_mode"` pair says how to read it —
+/// and a `"speedup"` key that is only present when
+/// [`SweepCell::speedup`] is defined.
+pub fn sweep_json(key: &str, cells: &[SweepCell], cores: usize) -> String {
     if cells.is_empty() {
         return String::new();
     }
     let base = cells.iter().find(|c| c.workers == 1).and_then(|c| c.secs);
-    let mut out = String::from(", \"worker_sweep\": [");
+    let mut out = format!(", \"{key}\": [");
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(
             out,
@@ -242,17 +281,20 @@ mod tests {
                 steals: 0,
             },
         ];
-        let multi = sweep_json(&cells, 8);
+        let multi = sweep_json("worker_sweep", &cells, 8);
+        assert!(multi.starts_with(", \"worker_sweep\": ["), "{multi}");
         assert!(
             multi.contains("\"workers\": 2, \"secs\": 0.500000, \"steals\": 7, \"speedup\": 2.00")
         );
         assert!(multi.contains("\"workers\": 4, \"secs\": null, \"steals\": 0}"));
-        let single = sweep_json(&cells, 1);
+        let single = sweep_json("flat_worker_sweep", &cells, 1);
+        assert!(single.starts_with(", \"flat_worker_sweep\": ["), "{single}");
         assert!(
             !single.contains("speedup"),
             "a 1-core host must never claim a speedup: {single}"
         );
-        assert_eq!(sweep_json(&[], 8), "", "empty sweep emits nothing");
+        let empty = sweep_json("worker_sweep", &[], 8);
+        assert_eq!(empty, "", "empty sweep emits nothing");
     }
 
     #[test]

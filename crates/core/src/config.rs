@@ -66,10 +66,11 @@ pub struct Config {
     pub shared: SharedLocs,
     /// Worker threads used by the exhaustive exploration engines. `1`
     /// (the default, overridable via the `PROMISING_WORKERS` environment
-    /// variable) runs the serial fast path; higher values run the
-    /// work-stealing parallel frontier with a sharded visited set; `0`
-    /// means "use all available cores". The outcome set is identical for
-    /// every value.
+    /// variable) runs the serial fast path; higher values run that many
+    /// workers over one locked pool of per-worker deques (idle workers
+    /// steal the oldest queued state from a sibling) and a sharded
+    /// visited set; `0` means "use all available cores". The outcome set
+    /// is identical for every value.
     pub workers: usize,
     /// Paranoid state deduplication: store the exact state next to its
     /// 128-bit fingerprint in every visited set and memo table, and
@@ -90,8 +91,8 @@ pub struct Config {
 
 /// The default exploration worker count: `1` (the serial fast path)
 /// unless the `PROMISING_WORKERS` environment variable overrides it.
-/// The override exists so CI can run the whole test suite once with a
-/// forced multi-worker frontier (work-stealing driver, sharded visited
+/// The override exists so CI can run test suites with a forced
+/// multi-worker frontier (the locked work pool and the sharded visited
 /// set) without threading a flag through every call site; explicit
 /// [`Config::with_workers`] calls still win.
 fn default_workers() -> usize {

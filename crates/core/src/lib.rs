@@ -49,7 +49,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod certify;
 pub mod config;
 pub mod expr;
@@ -65,7 +64,6 @@ pub mod pretty;
 pub mod stmt;
 pub mod thread;
 
-pub use arena::{Arena, ArenaIx};
 pub use certify::{
     find_and_certify, find_and_certify_with, find_promises_with, is_certified, CertMemo, CertResult,
 };

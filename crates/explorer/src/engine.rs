@@ -7,11 +7,12 @@
 //! expansion function, and an outcome extractor — and [`Engine`] owns
 //! everything else:
 //!
-//! * the work frontier ([`crate::frontier::drive`]): serial LIFO stack or
-//!   per-worker work-stealing deques for `Config::workers > 1`;
-//! * the sharded visited set with 128-bit fingerprint dedup (probed in
-//!   per-expansion batches) and the opt-in exact-key paranoid mode,
-//!   whose exact keys are interned in per-shard bump arenas;
+//! * the work frontier ([`crate::frontier::drive`]): serial LIFO stack,
+//!   or for `Config::workers > 1` one locked pool of per-worker deques
+//!   that idle workers steal from;
+//! * the sharded visited set with 128-bit fingerprint dedup (each
+//!   successor inserted as it is applied) and the opt-in exact-key
+//!   paranoid mode, which keeps each state's exact key boxed in its slot;
 //! * per-worker caches (e.g. the naive strategy's shared [`CertMemo`]),
 //!   built once per worker and never crossing threads;
 //! * the [`SearchBudget`]: wall-clock deadline, global state budget, and
@@ -31,6 +32,11 @@
 //!   `(n_traces, seed)` pair is **deterministic** regardless of worker
 //!   count, because each trace derives its own RNG from the seed and the
 //!   trace index alone.
+//!
+//! Both run the same per-state hook sequence (budget checks, `outcome`,
+//! `is_final`, `expand`, `reduce`); they differ only in what they do
+//! with the transitions it returns: `run` deduplicates and queues every
+//! successor, `sample` follows one at random.
 //!
 //! [`CertMemo`]: promising_core::CertMemo
 
@@ -331,12 +337,25 @@ struct Local<M: SearchModel> {
     stats: Stats,
     outcomes: BTreeSet<M::Out>,
     cache: M::Cache,
-    /// Reusable successor batch: one expansion's `(fingerprint, state)`
-    /// pairs, probed against the visited set in a single
-    /// [`ShardedVisited::insert_batch`] call.
-    batch: Vec<(Fingerprint, M::State)>,
-    /// Reusable newness flags for `batch` (same order).
-    fresh: Vec<bool>,
+}
+
+/// The bounds every visited state is checked against, fixed for one
+/// [`Engine::run`] or [`Engine::sample`] call.
+struct Bounds {
+    /// States visited so far, summed over workers.
+    states: AtomicU64,
+    max_states: u64,
+    deadline: Option<Instant>,
+}
+
+/// What [`Engine::visit`] decided for one state.
+enum Visit<T> {
+    /// A bound fired or a hook truncated: stop the whole search.
+    Stop,
+    /// A final state, or one without transitions: nothing to expand.
+    Leaf,
+    /// The transitions to branch on, after partial-order reduction.
+    Branch(Vec<T>),
 }
 
 /// The generic exploration engine: a [`SearchModel`] plus a
@@ -371,10 +390,8 @@ impl<M: SearchModel> Engine<M> {
     /// outcome set is identical for every worker count and pop order.
     pub fn run(&self) -> Exploration<M::Out> {
         let start = Instant::now();
-        let deadline_at = self.budget.deadline.map(|d| start + d);
-        let max_states = self.budget.max_states.unwrap_or(u64::MAX);
+        let bounds = self.bounds(start);
         let max_bytes = self.budget.max_bytes.unwrap_or(u64::MAX);
-        let total_states = AtomicU64::new(0);
         // Approximate resident bytes: every retained state is charged its
         // model-estimated size plus the visited-set entry (fingerprint,
         // optional exact key, hash-table slot overhead). Charged at
@@ -382,10 +399,9 @@ impl<M: SearchModel> Engine<M> {
         // for the whole search.
         let total_bytes = AtomicU64::new(0);
         let config = self.model.config();
-        // A visited-set entry is a `(Fingerprint, u32)` map slot plus, in
-        // paranoid mode, the exact key interned in the shard's arena.
-        let entry_bytes = (std::mem::size_of::<Fingerprint>()
-            + std::mem::size_of::<u32>()
+        // A visited-set entry is one `(Fingerprint, Option<Box<Exact>>)`
+        // map slot plus, in paranoid mode, the boxed exact key.
+        let entry_bytes = (std::mem::size_of::<(Fingerprint, Option<Box<M::Exact>>)>()
             + VISITED_SLOT_OVERHEAD
             + if config.paranoid {
                 std::mem::size_of::<M::Exact>()
@@ -393,7 +409,6 @@ impl<M: SearchModel> Engine<M> {
                 0
             }) as u64;
         let workers = effective_workers(config.workers);
-        let por = config.por;
         let visited: ShardedVisited<M::Exact> = ShardedVisited::new(config.paranoid, workers);
         let model = &self.model;
 
@@ -409,70 +424,19 @@ impl<M: SearchModel> Engine<M> {
         }
 
         let expand = |l: &mut Local<M>, s: M::State, ctx: &mut Ctx<'_, M::State>| {
-            l.stats.states += 1;
-            if total_states.fetch_add(1, Ordering::Relaxed) + 1 > max_states {
-                l.stats.note_stop(StopReason::StateBudget);
-                ctx.stop();
-                return;
-            }
-            if total_bytes.load(Ordering::Relaxed) > max_bytes {
-                l.stats.note_stop(StopReason::MemoryBudget);
-                ctx.stop();
-                return;
-            }
-            if let Some(at) = deadline_at {
-                if Instant::now() >= at {
-                    l.stats.note_stop(StopReason::DeadlineExceeded);
+            let over_memory = || total_bytes.load(Ordering::Relaxed) > max_bytes;
+            let transitions = match self.visit(&bounds, l, &s, over_memory) {
+                Visit::Stop => {
                     ctx.stop();
                     return;
                 }
-            }
-            model.outcome(&s, &mut l.cache, &mut l.stats, deadline_at, &mut l.outcomes);
-            if l.stats.truncated() {
-                // internal work (phase-2 search) hit the deadline: the
-                // outcome set is a lower bound from here on
-                ctx.stop();
-                return;
-            }
-            if model.is_final(&s, &mut l.stats) {
-                return;
-            }
-            let mut transitions = model.expand(&s, &mut l.cache, &mut l.stats, deadline_at);
-            if l.stats.truncated() {
-                // a certification run was cut off: the step set may be
-                // incomplete, so stop rather than explore a skewed frontier
-                ctx.stop();
-                return;
-            }
-            if transitions.is_empty() {
-                if M::DEADLOCK_ON_EMPTY {
-                    l.stats.deadlocks += 1;
-                }
-                return;
-            }
-            if por {
-                let before = transitions.len();
-                model.reduce(&s, &mut transitions);
-                l.stats.por_pruned += (before - transitions.len()) as u64;
-            }
-            // Batch the successor dedup: fingerprint every successor
-            // first, then probe the visited set once per touched shard
-            // (one lock total on the serial layout) instead of once per
-            // successor.
-            l.batch.clear();
+                Visit::Leaf => return,
+                Visit::Branch(transitions) => transitions,
+            };
+            let mut added = 0u64;
             for t in &transitions {
                 let next = model.apply(&s, t, &mut l.stats);
-                l.batch.push((model.fingerprint(&next), next));
-            }
-            visited.insert_batch(
-                &l.batch,
-                |it| it.0,
-                |it| model.exact_key(&it.1),
-                &mut l.fresh,
-            );
-            let mut added = 0u64;
-            for ((_fp, next), is_new) in l.batch.drain(..).zip(l.fresh.iter().copied()) {
-                if is_new {
+                if visited.insert(model.fingerprint(&next), || model.exact_key(&next)) {
                     added += model.approx_state_bytes(&next) as u64 + entry_bytes;
                     ctx.push(next);
                 }
@@ -517,15 +481,12 @@ impl<M: SearchModel> Engine<M> {
     ///
     /// There is no visited set: walks are independent, and revisiting a
     /// state on different walks is expected. The budget still applies
-    /// (`max_states` counts walk steps across all traces).
+    /// (`max_states` counts walk steps across all traces), except the
+    /// memory cap: a walk retains one state.
     pub fn sample(&self, n_traces: u64, seed: u64) -> Exploration<M::Out> {
         let start = Instant::now();
-        let deadline_at = self.budget.deadline.map(|d| start + d);
-        let max_states = self.budget.max_states.unwrap_or(u64::MAX);
-        let total_states = AtomicU64::new(0);
-        let config = self.model.config();
-        let workers = effective_workers(config.workers);
-        let por = config.por;
+        let bounds = self.bounds(start);
+        let workers = effective_workers(self.model.config().workers);
         let model = &self.model;
 
         // Work items are trace indices; each step runs one full walk.
@@ -534,47 +495,18 @@ impl<M: SearchModel> Engine<M> {
         let walk = |l: &mut Local<M>, trace: u64, ctx: &mut Ctx<'_, u64>| {
             let mut rng = SplitMix64::for_trace(seed, trace);
             let mut s = model.root(&mut l.stats);
+            // Walks draw from the reduced set: still a subset of the
+            // exhaustive outcomes, and `reduce` is a pure function of the
+            // state, so seeded determinism holds.
             loop {
-                l.stats.states += 1;
-                if total_states.fetch_add(1, Ordering::Relaxed) + 1 > max_states {
-                    l.stats.note_stop(StopReason::StateBudget);
-                    ctx.stop();
-                    return;
-                }
-                if let Some(at) = deadline_at {
-                    if Instant::now() >= at {
-                        l.stats.note_stop(StopReason::DeadlineExceeded);
+                let transitions = match self.visit(&bounds, l, &s, || false) {
+                    Visit::Stop => {
                         ctx.stop();
                         return;
                     }
-                }
-                model.outcome(&s, &mut l.cache, &mut l.stats, deadline_at, &mut l.outcomes);
-                if l.stats.truncated() {
-                    ctx.stop();
-                    return;
-                }
-                if model.is_final(&s, &mut l.stats) {
-                    break;
-                }
-                let mut transitions = model.expand(&s, &mut l.cache, &mut l.stats, deadline_at);
-                if l.stats.truncated() {
-                    ctx.stop();
-                    return;
-                }
-                if transitions.is_empty() {
-                    if M::DEADLOCK_ON_EMPTY {
-                        l.stats.deadlocks += 1;
-                    }
-                    break;
-                }
-                if por {
-                    // walks draw from the reduced set: still a subset of
-                    // the exhaustive outcomes, and `reduce` is a pure
-                    // function of the state, so seeded determinism holds
-                    let before = transitions.len();
-                    model.reduce(&s, &mut transitions);
-                    l.stats.por_pruned += (before - transitions.len()) as u64;
-                }
+                    Visit::Leaf => break,
+                    Visit::Branch(transitions) => transitions,
+                };
                 let t = &transitions[rng.below(transitions.len())];
                 s = model.apply(&s, t, &mut l.stats);
             }
@@ -589,6 +521,71 @@ impl<M: SearchModel> Engine<M> {
         )
     }
 
+    fn bounds(&self, start: Instant) -> Bounds {
+        Bounds {
+            states: AtomicU64::new(0),
+            max_states: self.budget.max_states.unwrap_or(u64::MAX),
+            deadline: self.budget.deadline.map(|d| start + d),
+        }
+    }
+
+    /// The per-state hook sequence both schedulers share: count the
+    /// state; check the state budget, then `over_memory` (`run`'s memory
+    /// budget), then the deadline; record the state's outcomes; stop at
+    /// a final state; expand, counting a deadlock when nothing is
+    /// enabled; and reduce. A bound that fires records its
+    /// [`StopReason`], and so may a hook (its internal work outran the
+    /// deadline) — either way the search stops rather than explore a
+    /// skewed frontier.
+    fn visit(
+        &self,
+        bounds: &Bounds,
+        l: &mut Local<M>,
+        s: &M::State,
+        over_memory: impl FnOnce() -> bool,
+    ) -> Visit<M::Transition> {
+        l.stats.states += 1;
+        if bounds.states.fetch_add(1, Ordering::Relaxed) + 1 > bounds.max_states {
+            l.stats.note_stop(StopReason::StateBudget);
+            return Visit::Stop;
+        }
+        if over_memory() {
+            l.stats.note_stop(StopReason::MemoryBudget);
+            return Visit::Stop;
+        }
+        let deadline = bounds.deadline;
+        if let Some(at) = deadline {
+            if Instant::now() >= at {
+                l.stats.note_stop(StopReason::DeadlineExceeded);
+                return Visit::Stop;
+            }
+        }
+        let model = &self.model;
+        model.outcome(s, &mut l.cache, &mut l.stats, deadline, &mut l.outcomes);
+        if l.stats.truncated() {
+            return Visit::Stop;
+        }
+        if model.is_final(s, &mut l.stats) {
+            return Visit::Leaf;
+        }
+        let mut transitions = model.expand(s, &mut l.cache, &mut l.stats, deadline);
+        if l.stats.truncated() {
+            return Visit::Stop;
+        }
+        if transitions.is_empty() {
+            if M::DEADLOCK_ON_EMPTY {
+                l.stats.deadlocks += 1;
+            }
+            return Visit::Leaf;
+        }
+        if model.config().por {
+            let before = transitions.len();
+            model.reduce(s, &mut transitions);
+            l.stats.por_pruned += (before - transitions.len()) as u64;
+        }
+        Visit::Branch(transitions)
+    }
+
     fn local(&self, walking: bool) -> Local<M> {
         Local {
             stats: Stats::default(),
@@ -598,15 +595,13 @@ impl<M: SearchModel> Engine<M> {
             } else {
                 self.model.cache()
             },
-            batch: Vec::new(),
-            fresh: Vec::new(),
         }
     }
 
     /// Wrap a step function so the time spent inside it accrues to the
     /// worker's `cpu_time`. Timing the step (rather than the worker's
-    /// lifetime) excludes condvar-parked idle time, so summed `cpu_time`
-    /// measures compute actually spent, not `workers × wall`.
+    /// lifetime) excludes time spent waiting for work, so summed
+    /// `cpu_time` measures compute actually spent, not `workers × wall`.
     fn timed<S>(
         step: impl Fn(&mut Local<M>, S, &mut Ctx<'_, S>),
     ) -> impl Fn(&mut Local<M>, S, &mut Ctx<'_, S>) {

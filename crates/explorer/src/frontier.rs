@@ -1,6 +1,6 @@
-//! The exploration frontier: per-worker work-stealing deques, a sharded
-//! visited set with arena-interned exact keys and batched probes, and a
-//! driver that runs the search serially or on scoped worker threads.
+//! The exploration frontier: a sharded visited set, and a driver that
+//! runs the search serially or on scoped worker threads sharing one
+//! locked work pool.
 //!
 //! Every exhaustive strategy in this workspace (naive, promise-first, and
 //! Flat-lite's interleaving search) is the same loop: pop a state, expand
@@ -17,23 +17,23 @@
 //!
 //! With `workers == 1` the driver runs a plain LIFO stack with no
 //! synchronisation — the serial path pays nothing for the abstraction.
-//! With more workers each thread owns a bounded Chase–Lev-style deque:
-//! the owner pushes and pops its bottom end LIFO (depth-first locality,
-//! no lock, no contention), while idle workers *steal* from the top end
-//! FIFO with a single CAS — stealing the oldest, shallowest states,
-//! which are the biggest subtrees and amortise the steal best. A deque
-//! that fills past its fixed capacity spills into a shared mutex-guarded
-//! reservoir (rare: only monster fan-outs hit it).
+//! With more workers, one mutex guards a deque per worker and the count
+//! of states in flight. A worker pops the back of its own deque (LIFO,
+//! depth-first); when that is empty it scans the others from a random
+//! start and takes the front — the oldest, shallowest state, the biggest
+//! subtree — of the first non-empty one (a *steal*). Finishing a step
+//! retires it and queues its successors on the worker's own deque in the
+//! same critical section that fetches the next state, so a step costs
+//! one lock acquisition, and "nothing queued, nothing in flight" — the
+//! end of the search — is decided under that one lock. An idle worker
+//! waits on a condvar, woken only when stealable work appears or the
+//! search ends.
 //!
-//! Termination is a single counter: `active` = states queued anywhere +
-//! expansions in flight. Obtaining a state does not change it (the state
-//! goes from "queued" to "in flight"); finishing a step adds the number
-//! of successors pushed and subtracts one for the state consumed, so
-//! `active == 0` is exactly "nothing queued, nobody mid-step" with no
-//! two-counter interleaving window. Idle workers that find every deque
-//! empty park on a condvar; producers bump a work epoch *after* making
-//! new work visible and wake sleepers, with a short timed wait as a
-//! belt-and-suspenders backstop.
+//! One lock is enough because the traffic is light. On a 2-core host a
+//! state costs tens of microseconds of expansion (on the Table-2 rows of
+//! over 1,000 states, at least 20 µs on average on flat and 90 µs on
+//! promise-first), and work rarely moves between workers (at most 13
+//! steals per Table-2 row at 2 workers, 104 at 8).
 //!
 //! Order independence: expanding a state depends only on that state, and
 //! the visited set only ever *suppresses* re-expansion of an
@@ -41,21 +41,21 @@
 //! outcome set — is identical for any pop/steal order and worker count.
 
 use crate::engine::SplitMix64;
-use promising_core::{Arena, ArenaIx, Fingerprint, FpBuildHasher};
-use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use promising_core::{Fingerprint, FpBuildHasher};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Lock a mutex, resuming it if a panicking worker poisoned it. Every
-/// structure guarded here (visited-set shards, the overflow reservoir)
-/// is kept consistent *within* each critical section — a panic can only
-/// strike between data-structure operations (inside `exact()` in
-/// paranoid mode, say), never mid-rehash — so the stored data is still
-/// valid and the remaining workers can keep draining instead of
-/// cascading panics off a poisoned lock.
+/// structure guarded here (visited-set shards, the work pool) is kept
+/// consistent *within* each critical section — a panic can only strike
+/// between data-structure operations (inside `exact()` in paranoid mode,
+/// say), never mid-rehash — so the stored data is still valid and the
+/// remaining workers can keep draining instead of cascading panics off a
+/// poisoned lock.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Render a panic payload as text: the `&str`/`String` payloads produced
@@ -73,28 +73,18 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Sentinel for "no exact key interned" (non-paranoid entries).
-const NO_KEY: u32 = u32::MAX;
-
-/// One visited-set shard: the fingerprint map plus the bump arena
-/// interning this shard's exact keys (paranoid mode). Keys live
-/// out-of-line so the hot map slot is `(Fingerprint, u32)` regardless of
-/// how large the exact state key type is, and the per-key allocation is
-/// a bump into a chunk rather than an allocator round-trip.
-struct Shard<K> {
-    map: HashMap<Fingerprint, u32, FpBuildHasher>,
-    keys: Arena<K>,
-}
+/// One visited-set shard: fingerprint → the exact state key, boxed, in
+/// paranoid mode and `None` otherwise. The box keeps a slot at 32 bytes
+/// however large the key type is.
+type Shard<K> = HashMap<Fingerprint, Option<Box<K>>, FpBuildHasher>;
 
 /// A visited set keyed by 128-bit state fingerprints, striped over
 /// independently locked shards so parallel workers rarely contend.
-/// [`ShardedVisited::insert_batch`] additionally groups a whole batch of
-/// probes by shard and takes each shard lock once per batch.
 ///
 /// In paranoid mode ([`promising_core::Config::paranoid`]) each entry
-/// additionally interns the exact state key `K` in a per-shard
-/// [`Arena`]; inserting a *different* state with the same fingerprint
-/// panics, turning a silent dedup error into a loud test failure.
+/// additionally keeps the exact state key `K`; inserting a *different*
+/// state with the same fingerprint panics, turning a silent dedup error
+/// into a loud test failure.
 pub struct ShardedVisited<K> {
     shards: Vec<Mutex<Shard<K>>>,
     paranoid: bool,
@@ -111,14 +101,7 @@ impl<K: Eq + std::fmt::Debug> ShardedVisited<K> {
             (workers * 8).next_power_of_two().min(256)
         };
         ShardedVisited {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::default(),
-                        keys: Arena::new(),
-                    })
-                })
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             paranoid,
             mask: shards as u64 - 1,
         }
@@ -131,39 +114,6 @@ impl<K: Eq + std::fmt::Debug> ShardedVisited<K> {
         ((((fp.0 >> 64) as u64) >> 32) & self.mask) as usize
     }
 
-    /// Insert into a locked shard; shared by the scalar and batched
-    /// entry points.
-    fn insert_locked(
-        &self,
-        shard: &mut Shard<K>,
-        fp: Fingerprint,
-        exact: impl FnOnce() -> K,
-    ) -> bool {
-        let Shard { map, keys } = shard;
-        match map.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                if self.paranoid {
-                    let stored = keys.get(ArenaIx(*e.get()));
-                    let fresh = exact();
-                    assert!(
-                        *stored == fresh,
-                        "state fingerprint collision at {fp}:\n  stored: {stored:?}\n  fresh:  {fresh:?}"
-                    );
-                }
-                false
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let ix = if self.paranoid {
-                    keys.push(exact()).0
-                } else {
-                    NO_KEY
-                };
-                v.insert(ix);
-                true
-            }
-        }
-    }
-
     /// Insert a state, returning `true` if it was new. `exact` is only
     /// evaluated in paranoid mode.
     ///
@@ -172,87 +122,32 @@ impl<K: Eq + std::fmt::Debug> ShardedVisited<K> {
     /// In paranoid mode, panics if `fp` is already present with a
     /// *different* exact key — a fingerprint collision.
     pub fn insert(&self, fp: Fingerprint, exact: impl FnOnce() -> K) -> bool {
-        let mut guard = lock_recover(&self.shards[self.shard_ix(fp)]);
-        self.insert_locked(&mut guard, fp, exact)
-    }
-
-    /// Insert a batch of states, taking each shard lock at most once for
-    /// the whole batch (one lock total on the serial single-shard
-    /// layout). `fresh` is cleared and refilled with one newness flag
-    /// per item, in input order; `exact` is only evaluated in paranoid
-    /// mode, and only for the items actually probed.
-    ///
-    /// Equivalent to calling [`ShardedVisited::insert`] per item (the
-    /// visited set only ever suppresses re-expansion, so batching probes
-    /// cannot change which states are new — only how many times the
-    /// shard locks are taken).
-    ///
-    /// # Panics
-    ///
-    /// In paranoid mode, panics on the first fingerprint collision in
-    /// the batch.
-    pub fn insert_batch<T>(
-        &self,
-        items: &[T],
-        fp_of: impl Fn(&T) -> Fingerprint,
-        exact: impl Fn(&T) -> K,
-        fresh: &mut Vec<bool>,
-    ) {
-        fresh.clear();
-        fresh.resize(items.len(), false);
-        if items.is_empty() {
-            return;
-        }
-        if self.mask == 0 {
-            // Serial layout: the whole batch is one critical section.
-            let mut guard = lock_recover(&self.shards[0]);
-            for (i, it) in items.iter().enumerate() {
-                fresh[i] = self.insert_locked(&mut guard, fp_of(it), || exact(it));
-            }
-            return;
-        }
-        // Group by shard without sorting: pick the first unprocessed
-        // item's shard, handle every batch item on that shard under one
-        // lock, repeat. Quadratic in distinct shards per batch, which is
-        // tiny (a batch is one expansion's successors).
-        let mut done = vec![false; items.len()];
-        for i in 0..items.len() {
-            if done[i] {
-                continue;
-            }
-            let s = self.shard_ix(fp_of(&items[i]));
-            let mut guard = lock_recover(&self.shards[s]);
-            for (j, it) in items.iter().enumerate().skip(i) {
-                if !done[j] && self.shard_ix(fp_of(it)) == s {
-                    done[j] = true;
-                    fresh[j] = self.insert_locked(&mut guard, fp_of(it), || exact(it));
+        match lock_recover(&self.shards[self.shard_ix(fp)]).entry(fp) {
+            Entry::Occupied(e) => {
+                if let Some(stored) = e.get() {
+                    let fresh = exact();
+                    assert!(
+                        **stored == fresh,
+                        "state fingerprint collision at {fp}:\n  stored: {stored:?}\n  fresh:  {fresh:?}"
+                    );
                 }
+                false
+            }
+            Entry::Vacant(v) => {
+                v.insert(self.paranoid.then(|| Box::new(exact())));
+                true
             }
         }
     }
 
     /// Number of distinct states recorded.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
+        self.shards.iter().map(|s| lock_recover(s).len()).sum()
     }
 
     /// Whether no state has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Approximate resident bytes of the visited structure itself: map
-    /// slots at capacity plus the exact-key arenas. Heap data owned by
-    /// the keys is *not* chased — the engine charges that per state via
-    /// `SearchModel::approx_state_bytes`.
-    pub fn bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let g = lock_recover(s);
-                g.map.capacity() * (std::mem::size_of::<(Fingerprint, u32)>() + 1) + g.keys.bytes()
-            })
-            .sum()
     }
 }
 
@@ -283,282 +178,120 @@ impl<S> Ctx<'_, S> {
 /// beside the strategy's own accumulator.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WorkerReport {
-    /// States this worker obtained by stealing from a sibling's deque
-    /// (zero on the serial path).
+    /// States this worker took from a sibling's deque (zero on the
+    /// serial path).
     pub steals: u64,
 }
 
-/// Fixed capacity of each worker's local deque (power of two). Overflow
-/// spills into the shared reservoir, so this bounds memory and steal
-/// latency, not the search.
-const LOCAL_CAP: usize = 1024;
-
-/// Result of one steal attempt.
-enum Stolen<S> {
-    /// Won the race: the stolen state.
-    Taken(Box<S>),
-    /// The deque was (apparently) empty.
-    Empty,
-    /// Lost a CAS race with the owner or another thief; work may remain.
-    Retry,
+/// The queues of a parallel run, guarded by [`Pool::queues`].
+struct Queues<S> {
+    /// One deque per worker: the owner works its back, thieves its front.
+    deques: Vec<VecDeque<S>>,
+    /// States taken by a worker whose step has not yet been retired.
+    in_flight: usize,
+    /// Workers blocked on [`Pool::ready`].
+    waiting: usize,
 }
 
-/// A bounded Chase–Lev work-stealing deque over boxed states.
-///
-/// The owner pushes/pops `bottom` (LIFO); thieves CAS `top` upward
-/// (FIFO). Slots hold raw pointers (from `Box::into_raw`) rather than
-/// inline values so a racing thief never performs a potentially torn
-/// read of a non-`Copy` state: a thief reads only the pointer word
-/// (atomic), and dereferences it *only after* winning the `top` CAS.
-///
-/// Why a won CAS guarantees the pointer is valid: the slot for index `t`
-/// can only be overwritten by an owner push at index `t + capacity`,
-/// which the owner reaches only after observing `top > t` (the push-side
-/// fullness check) — and any execution where `top` advanced past `t`
-/// makes our `compare_exchange(t, t+1)` fail. Likewise the only other
-/// parties that free index `t`'s box (the owner's last-element pop, a
-/// sibling thief) do so through the same CAS on `top = t`, which at most
-/// one contender wins. A lost CAS simply discards the pointer copy.
-struct Deque<S> {
-    /// Steal end: monotonically increasing; thieves CAS it.
-    top: AtomicI64,
-    /// Owner end: only the owner writes it (transiently decremented
-    /// during pop, hence signed).
-    bottom: AtomicI64,
-    slots: Box<[AtomicPtr<S>]>,
-    mask: i64,
-}
-
-impl<S> Deque<S> {
-    fn new() -> Deque<S> {
-        Deque {
-            top: AtomicI64::new(0),
-            bottom: AtomicI64::new(0),
-            slots: (0..LOCAL_CAP)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            mask: LOCAL_CAP as i64 - 1,
+impl<S> Queues<S> {
+    /// Worker `me`'s next state: the newest of its own, else the oldest
+    /// of the first non-empty sibling deque from a random start.
+    fn take(&mut self, me: usize, rng: &mut SplitMix64, report: &mut WorkerReport) -> Option<S> {
+        if let Some(s) = self.deques[me].pop_back() {
+            return Some(s);
         }
-    }
-
-    /// Owner-only: push a state, spilling to `reservoir` when full.
-    fn push(&self, s: S, reservoir: &Mutex<Vec<S>>) {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        if b - t >= LOCAL_CAP as i64 {
-            // Full (a stale-low `top` read only makes this conservative).
-            lock_recover(reservoir).push(s);
-            return;
-        }
-        let p = Box::into_raw(Box::new(s));
-        self.slots[(b & self.mask) as usize].store(p, Ordering::Relaxed);
-        // Publish the slot before advancing `bottom`: a thief that
-        // observes the new `bottom` (Acquire) must see the pointer.
-        self.bottom.store(b + 1, Ordering::Release);
-    }
-
-    /// Owner-only: pop the most recently pushed state (LIFO).
-    fn pop(&self) -> Option<Box<S>> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        // Order the `bottom` write before the `top` read (the classic
-        // Chase–Lev store-load fence); a thief does the mirror image.
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t < b {
-            // More than one element: the decrement already claimed ours.
-            let p = self.slots[(b & self.mask) as usize].load(Ordering::Relaxed);
-            return Some(unsafe { Box::from_raw(p) });
-        }
-        if t == b {
-            // Last element: race any thieves for it via the `top` CAS.
-            let won = self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            if won {
-                let p = self.slots[(b & self.mask) as usize].load(Ordering::Relaxed);
-                return Some(unsafe { Box::from_raw(p) });
-            }
-            return None;
-        }
-        // Empty: restore bottom.
-        self.bottom.store(b + 1, Ordering::Relaxed);
-        None
-    }
-
-    /// Thief: try to take the oldest state (FIFO end).
-    fn steal(&self) -> Stolen<S> {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Stolen::Empty;
-        }
-        // Read the pointer *before* the CAS; dereference only after
-        // winning it (see the type-level safety argument).
-        let p = self.slots[(t & self.mask) as usize].load(Ordering::Relaxed);
-        if self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            Stolen::Taken(unsafe { Box::from_raw(p) })
-        } else {
-            Stolen::Retry
-        }
+        let n = self.deques.len();
+        let offset = rng.below(n);
+        let s = (0..n)
+            .map(|k| (offset + k) % n)
+            .filter(|&v| v != me)
+            .find_map(|v| self.deques[v].pop_front())?;
+        report.steals += 1;
+        Some(s)
     }
 }
 
-impl<S> Drop for Deque<S> {
-    fn drop(&mut self) {
-        // Single-threaded by the time a deque drops (after scope join);
-        // free whatever a cancelled search left behind.
-        let t = *self.top.get_mut();
-        let b = *self.bottom.get_mut();
-        for i in t..b {
-            let p = *self.slots[(i & self.mask) as usize].get_mut();
-            if !p.is_null() {
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
-
-/// The shared state of a parallel run: the per-worker deques, the
-/// overflow reservoir, and the termination/parking machinery.
-struct StealPool<S> {
-    deques: Vec<Deque<S>>,
-    /// Spill-over for deques past [`LOCAL_CAP`]; also absorbs root
-    /// surplus when `roots > workers × LOCAL_CAP`.
-    reservoir: Mutex<Vec<S>>,
-    /// States queued anywhere + expansions in flight. Obtaining a state
-    /// leaves it unchanged; retiring a step adds `successors - 1`.
-    /// Exactly zero ⟺ the search is drained.
-    active: AtomicI64,
-    done: AtomicBool,
-    /// Bumped after new work becomes visible; parked workers recheck it.
-    epoch: AtomicU64,
-    sleepers: AtomicU64,
-    park: Mutex<()>,
+/// The shared state of a parallel run: the queues under one lock, and
+/// the condvar idle workers wait on.
+struct Pool<S> {
+    queues: Mutex<Queues<S>>,
     ready: Condvar,
 }
 
-impl<S> StealPool<S> {
-    fn wake_all(&self) {
-        drop(lock_recover(&self.park));
-        self.ready.notify_all();
-    }
-
-    /// Credit `pushed` successors to `active` — MUST run before the
-    /// successors become stealable, else a thief that steals and retires
-    /// one first could drive `active` to zero and latch `done` while
-    /// work still exists.
-    fn credit(&self, pushed: i64) {
-        if pushed > 0 {
-            self.active.fetch_add(pushed, Ordering::SeqCst);
+impl<S> Pool<S> {
+    /// A pool for `workers` workers, with `roots` dealt round-robin.
+    fn new(workers: usize, roots: Vec<S>) -> Pool<S> {
+        let mut deques: Vec<VecDeque<S>> = (0..workers).map(|_| VecDeque::new()).collect();
+        for (i, s) in roots.into_iter().enumerate() {
+            deques[i % workers].push_back(s);
+        }
+        Pool {
+            queues: Mutex::new(Queues {
+                deques,
+                in_flight: 0,
+                waiting: 0,
+            }),
+            ready: Condvar::new(),
         }
     }
 
-    /// Retire one finished step whose `pushed` successors were already
-    /// credited and published.
-    fn retire(&self, pushed: i64) {
-        let now = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
-        if now == 0 {
-            self.done.store(true, Ordering::SeqCst);
-            self.wake_all();
-        } else if pushed > 0 {
-            self.epoch.fetch_add(1, Ordering::SeqCst);
-            if self.sleepers.load(Ordering::SeqCst) > 0 {
-                self.wake_all();
-            }
-        }
-    }
-
-    /// Get the next state for worker `me`: local LIFO pop, then the
-    /// reservoir, then randomized stealing; park when everything looks
-    /// empty. `None` means the search is over (drained or cancelled).
-    fn fetch(
+    /// Retire worker `me`'s finished step, if any, queueing its
+    /// `successors` on `me`'s deque; then take `me`'s next state,
+    /// waiting while the queues are empty but a step is in flight.
+    /// `None` means the search is over: drained or cancelled.
+    fn next(
         &self,
         me: usize,
+        successors: Option<&mut Vec<S>>,
         rng: &mut SplitMix64,
-        stop: &AtomicBool,
         report: &mut WorkerReport,
+        stop: &AtomicBool,
     ) -> Option<S> {
-        let n = self.deques.len();
-        loop {
-            if stop.load(Ordering::Relaxed) || self.done.load(Ordering::SeqCst) {
-                return None;
-            }
-            // Record the epoch before probing: a producer bumps it after
-            // making work visible, so "no work found at epoch e" + "epoch
-            // still e under the park lock" justifies sleeping.
-            let epoch = self.epoch.load(Ordering::SeqCst);
-            if let Some(b) = self.deques[me].pop() {
-                return Some(*b);
-            }
-            if let Some(s) = lock_recover(&self.reservoir).pop() {
-                return Some(s);
-            }
-            let mut contended = false;
-            let offset = rng.below(n);
-            for k in 0..n {
-                let v = (offset + k) % n;
-                if v == me {
-                    continue;
-                }
-                match self.deques[v].steal() {
-                    Stolen::Taken(b) => {
-                        report.steals += 1;
-                        return Some(*b);
-                    }
-                    Stolen::Empty => {}
-                    Stolen::Retry => contended = true,
-                }
-            }
-            if contended {
-                // Someone has work in hand; spin rather than sleep.
-                std::hint::spin_loop();
-                continue;
-            }
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            let g = lock_recover(&self.park);
-            if self.epoch.load(Ordering::SeqCst) == epoch
-                && !self.done.load(Ordering::SeqCst)
-                && !stop.load(Ordering::Relaxed)
-            {
-                // The timed wait is a backstop against a lost wakeup
-                // (and lets stop-flag cancellation propagate promptly);
-                // the epoch/notify protocol is the primary signal.
-                let (g, _) = self
-                    .ready
-                    .wait_timeout(g, Duration::from_millis(1))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                drop(g);
-            } else {
-                drop(g);
-            }
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        let mut q = lock_recover(&self.queues);
+        if let Some(out) = successors {
+            q.in_flight -= 1;
+            q.deques[me].extend(out.drain(..));
         }
+        let next = loop {
+            if stop.load(Ordering::Relaxed) {
+                break None;
+            }
+            if let Some(s) = q.take(me, rng, report) {
+                q.in_flight += 1;
+                break Some(s);
+            }
+            if q.in_flight == 0 {
+                break None;
+            }
+            q.waiting += 1;
+            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
+            q.waiting -= 1;
+        };
+        // Wake the waiters only when they have something to do: work to
+        // steal, or the search is over. Every notify is a syscall.
+        if q.waiting > 0 && (next.is_none() || q.deques.iter().any(|d| !d.is_empty())) {
+            self.ready.notify_all();
+        }
+        next
     }
 }
 
-/// Unwind guard around a `step` call: if the step panics, the worker
-/// would otherwise leave `active` counting its in-flight expansion
-/// forever and strand its parked siblings. The guard's `Drop` (reached
-/// only on unwind — the normal path defuses it with `mem::forget`)
-/// raises the stop flag and wakes everyone so the panic propagates out
-/// of `thread::scope` instead of hanging the process.
+/// Unwind guard around a `step` call: a panicking step is never retired,
+/// so without this its siblings would wait forever for the search to
+/// drain. The guard's `Drop` (reached only on unwind — the normal path
+/// defuses it with `mem::forget`) raises the stop flag and wakes every
+/// waiter under the pool lock, so the panic propagates out of
+/// `thread::scope` instead of hanging the process.
 struct AbortOnPanic<'a, S> {
-    pool: &'a StealPool<S>,
+    pool: &'a Pool<S>,
     stop: &'a AtomicBool,
 }
 
 impl<S> Drop for AbortOnPanic<'_, S> {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.pool.wake_all();
+        let _q = lock_recover(&self.pool.queues);
+        self.stop.store(true, Ordering::Relaxed);
+        self.pool.ready.notify_all();
     }
 }
 
@@ -596,22 +329,7 @@ where
         return vec![finish(local, WorkerReport::default())];
     }
 
-    let pool = StealPool {
-        deques: (0..workers).map(|_| Deque::new()).collect(),
-        reservoir: Mutex::new(Vec::new()),
-        active: AtomicI64::new(roots.len() as i64),
-        done: AtomicBool::new(roots.is_empty()),
-        epoch: AtomicU64::new(0),
-        sleepers: AtomicU64::new(0),
-        park: Mutex::new(()),
-        ready: Condvar::new(),
-    };
-    // Seed the deques round-robin (single-threaded: the owner-only push
-    // contract is trivially met before any worker spawns).
-    for (i, s) in roots.into_iter().enumerate() {
-        pool.deques[i % workers].push(s, &pool.reservoir);
-    }
-
+    let pool = Pool::new(workers, roots);
     std::thread::scope(|scope| {
         let pool = &pool;
         let stop = &stop;
@@ -630,20 +348,13 @@ where
                         out: Vec::new(),
                         stop,
                     };
-                    while let Some(s) = pool.fetch(ix, &mut rng, stop, &mut report) {
+                    let mut next = pool.next(ix, None, &mut rng, &mut report, stop);
+                    while let Some(s) = next {
                         let guard = AbortOnPanic { pool, stop };
                         step(&mut local, s, &mut ctx);
                         std::mem::forget(guard);
-
-                        let pushed = ctx.out.len() as i64;
-                        pool.credit(pushed);
-                        for succ in ctx.out.drain(..) {
-                            pool.deques[ix].push(succ, &pool.reservoir);
-                        }
-                        pool.retire(pushed);
+                        next = pool.next(ix, Some(&mut ctx.out), &mut rng, &mut report, stop);
                     }
-                    // Unblock parked siblings so termination propagates.
-                    pool.wake_all();
                     finish(local, report)
                 })
             })
@@ -731,102 +442,62 @@ mod tests {
 
     #[test]
     fn deque_is_lifo_for_owner_and_fifo_for_thief() {
-        let reservoir = Mutex::new(Vec::new());
-        let d: Deque<u64> = Deque::new();
-        for v in 0..10 {
-            d.push(v, &reservoir);
-        }
-        assert!(reservoir.lock().unwrap().is_empty());
-        assert_eq!(d.pop().map(|b| *b), Some(9), "owner pops newest");
-        match d.steal() {
-            Stolen::Taken(b) => assert_eq!(*b, 0, "thief takes oldest"),
-            _ => panic!("steal from a non-empty deque must succeed unraced"),
-        }
-        let rest: Vec<u64> = std::iter::from_fn(|| d.pop().map(|b| *b)).collect();
-        assert_eq!(rest, vec![8, 7, 6, 5, 4, 3, 2, 1]);
-        assert!(d.pop().is_none());
-        assert!(matches!(d.steal(), Stolen::Empty));
-    }
-
-    #[test]
-    fn deque_overflow_spills_to_reservoir_and_drop_frees_leftovers() {
-        let reservoir = Mutex::new(Vec::new());
-        let d: Deque<u64> = Deque::new();
-        for v in 0..(LOCAL_CAP as u64 + 50) {
-            d.push(v, &reservoir);
-        }
-        assert_eq!(reservoir.lock().unwrap().len(), 50, "overflow spills");
-        assert_eq!(d.pop().map(|b| *b), Some(LOCAL_CAP as u64 - 1));
-        // The rest is freed by Drop (leak-checked under Miri/asan runs;
-        // here we just exercise the path).
-        drop(d);
+        let pool = Pool::new(2, Vec::new());
+        lock_recover(&pool.queues).deques[0].extend(0..10u64);
+        let stop = AtomicBool::new(false);
+        let mut rng = SplitMix64::new(1);
+        let (mut owner, mut thief) = (WorkerReport::default(), WorkerReport::default());
+        let first = pool.next(0, None, &mut rng, &mut owner, &stop);
+        assert_eq!(first, Some(9), "owner pops newest");
+        let stolen = pool.next(1, None, &mut rng, &mut thief, &stop);
+        assert_eq!(stolen, Some(0), "thief takes oldest");
+        assert_eq!((owner.steals, thief.steals), (0, 1));
+        let q = lock_recover(&pool.queues);
+        assert_eq!(q.in_flight, 2);
+        assert_eq!(q.deques[0], (1..9).collect::<VecDeque<u64>>());
     }
 
     #[test]
     fn concurrent_owner_and_thieves_conserve_items() {
-        // Owner pushes and pops while thieves steal; every pushed value
-        // must be obtained exactly once across all parties.
-        const N: u64 = 10_000;
-        let d: Deque<u64> = Deque::new();
-        let reservoir = Mutex::new(Vec::new());
-        let taken = Mutex::new(Vec::<u64>::new());
-        let stop_flag = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let d = &d;
-            let taken = &taken;
-            let stop = &stop_flag;
-            let thieves: Vec<_> = (0..3)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut got = Vec::new();
-                        while !stop.load(Ordering::Relaxed) {
-                            match d.steal() {
-                                Stolen::Taken(b) => got.push(*b),
-                                _ => std::hint::spin_loop(),
-                            }
+        // An irregular tree of ~10^5 nodes: each node's fan-out (0-5) is
+        // a hash of the node. Eight workers pop, push and steal
+        // concurrently; every run must terminate and expand each node
+        // exactly once.
+        const LIMIT: u64 = 1_000_000_000;
+        let tree = |workers: usize| {
+            let visited: ShardedVisited<u64> = ShardedVisited::new(false, workers);
+            assert!(visited.insert(fp_of(0), || 0));
+            let counts = drive(
+                vec![0u64],
+                workers,
+                || 0usize,
+                |count, node, ctx| {
+                    *count += 1;
+                    let fanout = SplitMix64::new(node).next_u64() % 6;
+                    for child in (1..=fanout).map(|k| node * 6 + k) {
+                        if child < LIMIT && visited.insert(fp_of(child), || child) {
+                            ctx.push(child);
                         }
-                        // Final drain so nothing is stranded mid-race.
-                        loop {
-                            match d.steal() {
-                                Stolen::Taken(b) => got.push(*b),
-                                Stolen::Empty => break,
-                                Stolen::Retry => {}
-                            }
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let mut got = Vec::new();
-            for v in 0..N {
-                d.push(v, &reservoir);
-                if v % 3 == 0 {
-                    if let Some(b) = d.pop() {
-                        got.push(*b);
                     }
-                }
-            }
-            while let Some(b) = d.pop() {
-                got.push(*b);
-            }
-            stop.store(true, Ordering::Relaxed);
-            taken.lock().unwrap().extend(got);
-            for t in thieves {
-                taken.lock().unwrap().extend(t.join().unwrap());
-            }
-        });
-        let mut all = taken.into_inner().unwrap();
-        all.extend(reservoir.into_inner().unwrap());
-        all.sort_unstable();
-        assert_eq!(all, (0..N).collect::<Vec<u64>>());
+                },
+                |count, _| count,
+            );
+            assert_eq!(counts.iter().sum::<usize>(), visited.len());
+            visited.len()
+        };
+        let nodes = tree(1);
+        assert!(nodes > 90_000, "{nodes}");
+        for _ in 0..20 {
+            assert_eq!(tree(8), nodes);
+        }
     }
 
     #[test]
-    fn wide_fanout_overflows_locally_and_still_counts_every_state() {
-        // One root fans out to more successors than a local deque holds:
-        // the overflow must reach the reservoir and every leaf must be
-        // expanded exactly once, on any worker count.
-        let fanout = LOCAL_CAP as u64 + 500;
+    fn wide_fanout_from_one_state_counts_every_state() {
+        // One root fans out to 1,500 successors, all queued on one
+        // worker's deque at once: every leaf must be expanded exactly
+        // once, on any worker count.
+        let fanout = 1_500u64;
         for workers in [1, 2, 4] {
             let visited: ShardedVisited<u64> = ShardedVisited::new(false, workers);
             assert!(visited.insert(fp_of(0), || 0));
@@ -853,10 +524,9 @@ mod tests {
 
     #[test]
     fn steals_are_reported_when_one_worker_seeds_all_work() {
-        // A single root expanded by one worker produces a deep chain of
-        // wide fan-outs; with several workers and one producer, siblings
-        // can only ever obtain work by stealing (or from the reservoir).
-        // The reports must account for the split.
+        // A single root lands on worker 0's deque. Every other worker's
+        // deque only ever holds its own successors, so its first state —
+        // and hence, if it expanded anything, at least one — was stolen.
         let visited: ShardedVisited<u64> = ShardedVisited::new(false, 4);
         assert!(visited.insert(fp_of(1), || 1));
         let reports = drive(
@@ -877,11 +547,12 @@ mod tests {
         );
         let total: u64 = reports.iter().map(|(c, _)| c).sum();
         assert_eq!(total as usize, visited.len());
-        // Steal counts are scheduling-dependent; the invariant is that
-        // they are *reported* (the sum is meaningful) — on a loaded
-        // 1-CPU host every steal may legitimately be zero.
-        let steals: u64 = reports.iter().map(|(_, s)| s).sum();
-        assert!(steals <= total);
+        for (ix, &(count, steals)) in reports.iter().enumerate().skip(1) {
+            assert!(
+                count == 0 || steals >= 1,
+                "worker {ix} expanded {count} states without stealing"
+            );
+        }
     }
 
     #[test]
@@ -893,60 +564,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_insert_agrees_with_scalar_insert() {
-        for workers in [1, 4] {
-            let scalar: ShardedVisited<u64> = ShardedVisited::new(true, workers);
-            let batched: ShardedVisited<u64> = ShardedVisited::new(true, workers);
-            let mut fresh = Vec::new();
-            // Two batches with internal and cross-batch duplicates.
-            let batches: [&[u64]; 2] = [&[1, 2, 3, 2, 4], &[4, 5, 1, 6]];
-            for items in batches {
-                let tagged: Vec<(Fingerprint, u64)> =
-                    items.iter().map(|&v| (fp_of(v), v)).collect();
-                batched.insert_batch(&tagged, |it| it.0, |it| it.1, &mut fresh);
-                let scalar_fresh: Vec<bool> = items
-                    .iter()
-                    .map(|&v| scalar.insert(fp_of(v), || v))
-                    .collect();
-                assert_eq!(fresh, scalar_fresh, "workers={workers}");
-            }
-            assert_eq!(batched.len(), scalar.len());
-            assert_eq!(batched.len(), 6);
-            assert!(batched.bytes() > 0);
-        }
-    }
-
-    #[test]
-    fn batch_insert_handles_empty_batches() {
-        let v: ShardedVisited<u64> = ShardedVisited::new(false, 4);
-        let mut fresh = vec![true; 3];
-        v.insert_batch(
-            &[] as &[(Fingerprint, u64)],
-            |it| it.0,
-            |it| it.1,
-            &mut fresh,
-        );
-        assert!(fresh.is_empty());
-        assert!(v.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "fingerprint collision")]
     fn paranoid_mode_detects_collisions() {
         let visited: ShardedVisited<u64> = ShardedVisited::new(true, 1);
         assert!(visited.insert(fp_of(1), || 1));
         // Same fingerprint, different exact key: must panic.
         visited.insert(fp_of(1), || 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "fingerprint collision")]
-    fn paranoid_mode_detects_collisions_in_batches() {
-        let visited: ShardedVisited<u64> = ShardedVisited::new(true, 1);
-        let mut fresh = Vec::new();
-        // Same fingerprint, different exact keys, same batch.
-        let items = [(fp_of(1), 1u64), (fp_of(1), 2u64)];
-        visited.insert_batch(&items, |it| it.0, |it| it.1, &mut fresh);
     }
 
     #[test]
@@ -984,7 +607,7 @@ mod tests {
     fn worker_panic_surfaces_payload_and_worker_index() {
         // A panicking step (e.g. a paranoid-mode collision assert) must
         // cancel the pool and propagate — naming the failing worker and
-        // carrying the original payload — not strand parked siblings or
+        // carrying the original payload — not strand waiting siblings or
         // die with an anonymous "worker panicked".
         let err = std::panic::catch_unwind(|| {
             drive(
