@@ -9,7 +9,14 @@
 //!
 //! The value pool is computed as a fixpoint: starting from the initial
 //! values, repeatedly unfold all threads and add every value any store
-//! writes, until no new values appear.
+//! writes, until no new values appear or the iteration count exceeds the
+//! number of writes an execution can hold: summed over threads, the
+//! thread's store count, times `loop_fuel + 1` if it has a loop. No
+//! allowed execution has a longer chain of writes each sourcing a read the
+//! next depends on, so later iterations add no readable value. Writes on
+//! paths that run out of loop fuel enter the pools too: such a path
+//! yields no trace, but a write it makes before the loop can still be
+//! read in a complete execution.
 
 use crate::AxError;
 use promising_core::config::Arch;
@@ -99,6 +106,14 @@ pub struct LocalTrace {
     pub rmw: Vec<(usize, usize)>,
 }
 
+/// The location and value of a write event.
+fn written(ev: &Event) -> Option<(Loc, Val)> {
+    match ev.kind {
+        EventKind::Write { loc, val, .. } => Some((loc, val)),
+        _ => None,
+    }
+}
+
 /// Per-location pools of readable values (initial values are implicit and
 /// always readable).
 pub type ValuePools = BTreeMap<Loc, BTreeSet<Val>>;
@@ -135,7 +150,15 @@ struct Unfolder<'a> {
     pools: &'a ValuePools,
     init: &'a BTreeMap<Loc, Val>,
     limits: &'a Limits,
-    out: Vec<LocalTrace>,
+    out: Unfolding,
+}
+
+/// One thread's unfolding: its complete traces, plus the writes made by
+/// the paths discarded for running out of loop fuel.
+#[derive(Default)]
+struct Unfolding {
+    traces: Vec<LocalTrace>,
+    dropped_writes: BTreeSet<(Loc, Val)>,
 }
 
 /// The symbolic state of one unfolding path.
@@ -202,6 +225,18 @@ pub fn unfold_thread(
     loop_fuel: u32,
     limits: &Limits,
 ) -> Result<Vec<LocalTrace>, AxError> {
+    unfold(code, tid, arch, pools, init, loop_fuel, limits).map(|u| u.traces)
+}
+
+fn unfold(
+    code: &ThreadCode,
+    tid: TId,
+    arch: Arch,
+    pools: &ValuePools,
+    init: &BTreeMap<Loc, Val>,
+    loop_fuel: u32,
+    limits: &Limits,
+) -> Result<Unfolding, AxError> {
     let mut u = Unfolder {
         code,
         tid,
@@ -209,7 +244,7 @@ pub fn unfold_thread(
         pools,
         init,
         limits,
-        out: Vec::new(),
+        out: Unfolding::default(),
     };
     let mut path = Path {
         cont: vec![code.entry()],
@@ -233,10 +268,10 @@ impl Unfolder<'_> {
     }
 
     fn emit(&mut self, path: Path) -> Result<(), AxError> {
-        if self.out.len() >= self.limits.max_traces {
+        if self.out.traces.len() >= self.limits.max_traces {
             return Err(AxError::TraceOverflow(self.limits.max_traces));
         }
-        self.out.push(LocalTrace {
+        self.out.traces.push(LocalTrace {
             events: path.events,
             final_regs: path.regs.iter().map(|(&r, (v, _))| (r, *v)).collect(),
             rmw: path.rmw,
@@ -300,8 +335,12 @@ impl Unfolder<'_> {
                     path.ctrl.extend(deps);
                     if v.as_bool() {
                         if path.fuel == 0 {
-                            // bounded out: discard this path entirely (it is
-                            // not a complete execution)
+                            // bounded out: the path is not a complete
+                            // execution and yields no trace, but its writes
+                            // still feed the value pools
+                            self.out
+                                .dropped_writes
+                                .extend(path.events.iter().filter_map(written));
                             return Ok(());
                         }
                         path.fuel -= 1;
@@ -518,17 +557,41 @@ pub fn value_pools(
     loop_fuel: u32,
     limits: &Limits,
 ) -> Result<ValuePools, AxError> {
-    // Every value read in a *legal* execution is produced by a chain of
-    // reads-from edges through distinct write events, so chains are no
-    // longer than the number of write events an execution can contain.
-    // Iterating that many times therefore yields a complete pool even when
-    // the syntactic fixpoint diverges (e.g. mutually-recursive `r + 1`
-    // CAS increments, whose extra values are later pruned because no
-    // candidate write event matches them).
+    // The fixpoint may diverge (mutually recursive `r + 1` increments), so
+    // it stops after `chain_bound` iterations. The pools are complete by
+    // then, by the no-thin-air property the ARM and RISC-V axiomatic
+    // models share:
+    //
+    // 1. In an allowed execution, a write's location and value, and
+    //    whether it is reached at all, depend only on the po-earlier reads
+    //    that flow into its address, its data or an earlier branch. Every
+    //    other read can take the initial value without changing the path.
+    //    That path may later run out of loop fuel, which is why the writes
+    //    of fuel-dropped paths are pooled too.
+    // 2. Order writes by "sources a read this write depends on". Within a
+    //    thread that chain lies in `dob`: addr, data, `ctrl;[W]` (ctrl is
+    //    cumulative) and `(addr|data);rfi`. Across threads the link is
+    //    `rfe`. A cycle would be an `ob` cycle, which the external axiom
+    //    forbids.
+    // 3. So fixpoint iteration k reaches every write of depth ≤ k (the
+    //    longest chain ending in it), and depth is at most the execution's
+    //    write count.
+    //
+    // A thread without a loop runs each `Store`/`Rmw` of its arena at most
+    // once; one with a loop runs each at most `loop_fuel + 1` times. Values
+    // pooled within the bound that no execution writes are harmless: no
+    // candidate write event matches them, so their reads are pruned.
     let chain_bound: usize = program
         .threads()
         .iter()
-        .map(|code| code.store_count() * (loop_fuel as usize + 1))
+        .map(|code| {
+            let runs = if code.has_loop() {
+                loop_fuel as usize + 1
+            } else {
+                1
+            };
+            code.store_count() * runs
+        })
         .sum::<usize>()
         + 1;
     let mut pools = ValuePools::new();
@@ -541,16 +604,14 @@ pub fn value_pools(
         }
         let mut next = pools.clone();
         for (i, code) in program.threads().iter().enumerate() {
-            let traces = unfold_thread(code, TId(i), arch, &pools, init, loop_fuel, limits)?;
-            for tr in traces {
-                for ev in &tr.events {
-                    if let EventKind::Write { loc, val, .. } = ev.kind {
-                        let pool = next.entry(loc).or_default();
-                        pool.insert(val);
-                        if pool.len() > limits.max_pool_size {
-                            return Err(AxError::PoolOverflow(limits.max_pool_size));
-                        }
-                    }
+            let u = unfold(code, TId(i), arch, &pools, init, loop_fuel, limits)?;
+            let traced = u.traces.iter().flat_map(|tr| &tr.events);
+            let writes = traced.filter_map(written).chain(u.dropped_writes);
+            for (loc, val) in writes {
+                let pool = next.entry(loc).or_default();
+                pool.insert(val);
+                if pool.len() > limits.max_pool_size {
+                    return Err(AxError::PoolOverflow(limits.max_pool_size));
                 }
             }
         }
@@ -710,5 +771,32 @@ mod tests {
         assert_eq!(pools[&Loc(0)], BTreeSet::from([Val(1)]));
         // y can be written 0 (from init x) or 1 (from T0's write)
         assert_eq!(pools[&Loc(1)], BTreeSet::from([Val(0), Val(1)]));
+    }
+
+    #[test]
+    fn loop_free_threads_are_not_charged_loop_fuel() {
+        // An execution holds at most the two RMW writes, so the pools stop
+        // after three rounds at any fuel instead of gaining a `+1` value
+        // per round until the iteration limit.
+        let (program, _) = promising_core::parse_program(
+            "r1 = amo_add_acq(x, 1)\nr2 = load(y)\n---\nr3 = amo_add_acq(y, 1)\nr4 = load(x)",
+        )
+        .unwrap();
+        for arch in [Arch::Arm, Arch::RiscV] {
+            let pools = value_pools(&program, arch, &BTreeMap::new(), 64, &limits()).unwrap();
+            assert!(pools.values().all(|p| p.len() <= 3), "{pools:?}");
+        }
+    }
+
+    #[test]
+    fn looping_threads_are_charged_loop_fuel() {
+        // One store in a loop writes x = 1, 2, 3 in turn, each from the
+        // last, before r1 reads 3: a bound of one write per store would
+        // stop the pool at {1, 2} and lose the only execution.
+        let (program, _) =
+            promising_core::parse_program("while (r1 != 3) {\nr1 = load(x)\nstore(x, r1 + 1)\n}")
+                .unwrap();
+        let pools = value_pools(&program, Arch::Arm, &BTreeMap::new(), 4, &limits()).unwrap();
+        assert!(pools[&Loc(0)].contains(&Val(3)), "{pools:?}");
     }
 }

@@ -93,6 +93,12 @@ mod tests {
     const SB: &str = "store(x, 1)\nr1 = load(y)\n---\nstore(y, 1)\nr2 = load(x)";
     const SB_DMB: &str =
         "store(x, 1)\ndmb.sy\nr1 = load(y)\n---\nstore(y, 1)\ndmb.sy\nr2 = load(x)";
+    /// A write made before a spin loop: it must enter the value pools
+    /// though the paths that read it only within the loop run out of fuel.
+    const STORE_THEN_SPIN: &str = "store(y, 1)\nr1 = load(x)\nwhile (r1 != 1) { r1 = load(x) }\n---\nr2 = load(y)\nstore(x, r2)";
+    /// Loop-free RMWs: the pool bound must not charge loop fuel to them.
+    const SB_AMO_ACQ: &str =
+        "r1 = amo_add_acq(x, 1)\nr2 = load(y)\n---\nr3 = amo_add_acq(y, 1)\nr4 = load(x)";
 
     #[test]
     fn mp_plain_allows_weak_outcome() {
@@ -168,7 +174,17 @@ mod tests {
     #[test]
     fn agreement_with_operational_model_on_classics() {
         // Theorem 6.1, experimentally: identical outcome sets.
-        for src in [MP_PLAIN, MP_DMB, MP_ADDR, LB, SB, SB_DMB] {
+        let sources = [
+            MP_PLAIN,
+            MP_DMB,
+            MP_ADDR,
+            LB,
+            SB,
+            SB_DMB,
+            STORE_THEN_SPIN,
+            SB_AMO_ACQ,
+        ];
+        for src in sources {
             for arch in [Arch::Arm, Arch::RiscV] {
                 let (program, _) = parse_program(src).unwrap();
                 let program = Arc::new(program);

@@ -121,7 +121,6 @@ pub fn enumerate_outcomes(program: &Program, config: &AxConfig) -> Result<AxResu
         let mut k = 0;
         loop {
             if k == idx.len() {
-                stats_done(&stats);
                 return Ok(AxResult { outcomes, stats });
             }
             idx[k] += 1;
@@ -133,8 +132,6 @@ pub fn enumerate_outcomes(program: &Program, config: &AxConfig) -> Result<AxResu
         }
     }
 }
-
-fn stats_done(_stats: &AxStats) {}
 
 /// A fully-assembled candidate skeleton (events fixed; rf/co enumerated).
 struct Skeleton<'a> {

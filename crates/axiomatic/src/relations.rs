@@ -2,19 +2,37 @@
 //! to express the axiomatic model of Fig. 6 (unions, compositions,
 //! restrictions, acyclicity).
 
-/// A binary relation over `0..n` represented as adjacency sets.
+/// A binary relation over `0..n`, stored as a bit matrix: row `a` is
+/// `n.div_ceil(64)` consecutive words whose bit `b` says whether `a → b`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Relation {
     n: usize,
-    adj: Vec<Vec<bool>>,
+    /// Words per row.
+    words: usize,
+    /// The rows, one after another. Bits at or beyond `n` in a row stay
+    /// zero, so word-wise equality is relation equality.
+    bits: Vec<u64>,
+}
+
+/// The indices of the set bits of `w`, lowest first.
+fn ones(mut w: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (w != 0).then(|| {
+            let i = w.trailing_zeros() as usize;
+            w &= w - 1;
+            i
+        })
+    })
 }
 
 impl Relation {
     /// The empty relation over `0..n`.
     pub fn new(n: usize) -> Relation {
+        let words = n.div_ceil(64);
         Relation {
             n,
-            adj: vec![vec![false; n]; n],
+            words,
+            bits: vec![0; n * words],
         }
     }
 
@@ -25,17 +43,58 @@ impl Relation {
 
     /// Whether the relation has no edges.
     pub fn is_empty(&self) -> bool {
-        self.adj.iter().all(|row| row.iter().all(|&b| !b))
+        self.bits.iter().all(|&w| w == 0)
+    }
+
+    fn row(&self, a: usize) -> &[u64] {
+        &self.bits[a * self.words..(a + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, a: usize) -> &mut [u64] {
+        &mut self.bits[a * self.words..(a + 1) * self.words]
+    }
+
+    /// The word index and bit mask of the edge `a → b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is not below `n`: in the flat layout `b ≥ n`
+    /// would otherwise alias an edge of a later row.
+    fn bit(&self, a: usize, b: usize) -> (usize, u64) {
+        assert!(
+            a < self.n && b < self.n,
+            "edge {a} → {b} outside a relation over 0..{}",
+            self.n
+        );
+        (a * self.words + b / 64, 1 << (b % 64))
+    }
+
+    /// The targets of the edges out of `a`, in increasing order.
+    fn successors(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(a)
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &w)| ones(w).map(move |i| k * 64 + i))
     }
 
     /// Add the edge `a → b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
     pub fn add(&mut self, a: usize, b: usize) {
-        self.adj[a][b] = true;
+        let (i, mask) = self.bit(a, b);
+        self.bits[i] |= mask;
     }
 
     /// Whether `a → b` is in the relation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
     pub fn contains(&self, a: usize, b: usize) -> bool {
-        self.adj[a][b]
+        let (i, mask) = self.bit(a, b);
+        self.bits[i] & mask != 0
     }
 
     /// Build from an edge list.
@@ -47,43 +106,29 @@ impl Relation {
         r
     }
 
+    /// The edges, in index order, without collecting them.
+    fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.n).flat_map(move |a| self.successors(a).map(move |b| (a, b)))
+    }
+
     /// All edges, in index order.
     pub fn edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if self.adj[a][b] {
-                    out.push((a, b));
-                }
-            }
-        }
-        out
+        self.pairs().collect()
     }
 
     /// Union of two relations.
     #[must_use]
     pub fn union(&self, other: &Relation) -> Relation {
-        assert_eq!(self.n, other.n);
         let mut r = self.clone();
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if other.adj[a][b] {
-                    r.adj[a][b] = true;
-                }
-            }
-        }
+        r.extend(other);
         r
     }
 
     /// In-place union.
     pub fn extend(&mut self, other: &Relation) {
         assert_eq!(self.n, other.n);
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if other.adj[a][b] {
-                    self.adj[a][b] = true;
-                }
-            }
+        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
+            *w |= o;
         }
     }
 
@@ -93,13 +138,9 @@ impl Relation {
         assert_eq!(self.n, other.n);
         let mut r = Relation::new(self.n);
         for a in 0..self.n {
-            for m in 0..self.n {
-                if self.adj[a][m] {
-                    for b in 0..self.n {
-                        if other.adj[m][b] {
-                            r.adj[a][b] = true;
-                        }
-                    }
+            for m in self.successors(a) {
+                for (w, o) in r.row_mut(a).iter_mut().zip(other.row(m)) {
+                    *w |= o;
                 }
             }
         }
@@ -110,11 +151,9 @@ impl Relation {
     #[must_use]
     pub fn intersect(&self, other: &Relation) -> Relation {
         assert_eq!(self.n, other.n);
-        let mut r = Relation::new(self.n);
-        for a in 0..self.n {
-            for b in 0..self.n {
-                r.adj[a][b] = self.adj[a][b] && other.adj[a][b];
-            }
+        let mut r = self.clone();
+        for (w, o) in r.bits.iter_mut().zip(&other.bits) {
+            *w &= o;
         }
         r
     }
@@ -123,12 +162,8 @@ impl Relation {
     #[must_use]
     pub fn inverse(&self) -> Relation {
         let mut r = Relation::new(self.n);
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if self.adj[a][b] {
-                    r.adj[b][a] = true;
-                }
-            }
+        for (a, b) in self.pairs() {
+            r.add(b, a);
         }
         r
     }
@@ -137,15 +172,15 @@ impl Relation {
     /// `rng` (the `[A]; r; [B]` idiom of cat files).
     #[must_use]
     pub fn restrict(&self, dom: impl Fn(usize) -> bool, rng: impl Fn(usize) -> bool) -> Relation {
+        let mut mask = vec![0u64; self.words];
+        for b in (0..self.n).filter(|&b| rng(b)) {
+            mask[b / 64] |= 1 << (b % 64);
+        }
         let mut r = Relation::new(self.n);
-        for a in 0..self.n {
-            if !dom(a) {
-                continue;
-            }
-            for b in 0..self.n {
-                if self.adj[a][b] && rng(b) {
-                    r.adj[a][b] = true;
-                }
+        for a in (0..self.n).filter(|&a| dom(a)) {
+            let src = self.row(a);
+            for ((w, s), m) in r.row_mut(a).iter_mut().zip(src).zip(&mask) {
+                *w = s & m;
             }
         }
         r
@@ -155,11 +190,9 @@ impl Relation {
     #[must_use]
     pub fn filter(&self, keep: impl Fn(usize, usize) -> bool) -> Relation {
         let mut r = Relation::new(self.n);
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if self.adj[a][b] && keep(a, b) {
-                    r.adj[a][b] = true;
-                }
+        for (a, b) in self.pairs() {
+            if keep(a, b) {
+                r.add(a, b);
             }
         }
         r
@@ -168,7 +201,8 @@ impl Relation {
     /// Whether the relation is acyclic (no directed cycle; a self-edge is a
     /// cycle).
     pub fn is_acyclic(&self) -> bool {
-        // iterative DFS with colours
+        // iterative DFS with colours: an edge to a grey node (one on the
+        // stack) closes a cycle
         #[derive(Clone, Copy, PartialEq)]
         enum Colour {
             White,
@@ -180,31 +214,23 @@ impl Relation {
             if colour[start] != Colour::White {
                 continue;
             }
-            // stack of (node, next-child-index)
-            let mut stack = vec![(start, 0usize)];
             colour[start] = Colour::Grey;
-            while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-                let mut advanced = false;
-                while *next < self.n {
-                    let child = *next;
-                    *next += 1;
-                    if !self.adj[node][child] {
-                        continue;
+            let mut stack = vec![(start, self.successors(start))];
+            while let Some((node, next)) = stack.last_mut() {
+                let (node, child) = (*node, next.next());
+                match child {
+                    None => {
+                        colour[node] = Colour::Black;
+                        stack.pop();
                     }
-                    match colour[child] {
+                    Some(child) => match colour[child] {
                         Colour::Grey => return false,
                         Colour::White => {
                             colour[child] = Colour::Grey;
-                            stack.push((child, 0));
-                            advanced = true;
-                            break;
+                            stack.push((child, self.successors(child)));
                         }
                         Colour::Black => {}
-                    }
-                }
-                if !advanced && stack.last().map(|&(n_, _)| n_) == Some(node) {
-                    colour[node] = Colour::Black;
-                    stack.pop();
+                    },
                 }
             }
         }
@@ -267,6 +293,37 @@ mod tests {
         let a = Relation::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
         let r = a.restrict(|x| x != 1, |y| y != 3);
         assert_eq!(r.edges(), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn rows_spanning_several_words() {
+        let n = 130;
+        let a = Relation::from_edges(n, [(0, 70), (70, 129), (129, 1), (3, 64)]);
+        let b = Relation::from_edges(n, [(70, 128), (64, 63)]);
+        assert_eq!(a.compose(&b).edges(), vec![(0, 128), (3, 63)]);
+        assert_eq!(
+            a.restrict(|x| x != 129, |y| y >= 64).edges(),
+            vec![(0, 70), (3, 64), (70, 129)]
+        );
+        assert_eq!(
+            a.inverse().edges(),
+            vec![(1, 129), (64, 3), (70, 0), (129, 70)]
+        );
+        assert!(a.is_acyclic());
+        assert!(!a.union(&Relation::from_edges(n, [(1, 0)])).is_acyclic());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a relation")]
+    fn add_rejects_an_out_of_range_target() {
+        // 0 → 64 would otherwise set 1 → 0 in the flat layout
+        Relation::new(64).add(0, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a relation")]
+    fn contains_rejects_an_out_of_range_target() {
+        Relation::from_edges(64, [(1, 0)]).contains(0, 64);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `--subsample STRIDE` keeps every `STRIDE`-th generated test (the
-//! named catalogue is always kept in full) — the fast cross-model smoke
-//! check CI runs on every push; omit it for the full local sweep.
+//! named catalogue is always kept in full) for a quicker local check;
+//! CI runs the full sweep on every push.
 //!
 //! `--por-sweep` additionally runs the two POR-reduced models
 //! (promising-naive and Flat-lite) with every reduction *off*

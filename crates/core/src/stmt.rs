@@ -466,6 +466,13 @@ impl ThreadCode {
             .count()
     }
 
+    /// Whether the arena holds a `while` loop. Without one, a path runs
+    /// each statement at most once, so the thread makes at most
+    /// [`ThreadCode::store_count`] writes per execution.
+    pub fn has_loop(&self) -> bool {
+        self.stmts.iter().any(|s| matches!(s, Stmt::While { .. }))
+    }
+
     /// Number of single-instruction RMW statements in the arena.
     pub fn rmw_count(&self) -> usize {
         self.stmts

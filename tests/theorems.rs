@@ -127,10 +127,6 @@ fn to_program(recipes: &[Vec<Recipe>], arch: Arch) -> Arc<Program> {
 }
 
 proptest! {
-    // the axiomatic enumeration is the herd-style expensive side; keep the
-    // case count modest (raise via PROPTEST_CASES for deeper sweeps)
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
     /// Theorem 6.1/D.1, experimentally: same outcome sets as the
     /// axiomatic model, on both architectures.
     #[test]
