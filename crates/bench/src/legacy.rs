@@ -64,10 +64,12 @@ impl LegacyCertEngine<'_> {
         let mut reached = thread.state.prom.is_empty();
         let mut qualified = BTreeSet::new();
         let config = self.m.config();
-        for kind in enabled_steps(config, self.code, self.tid, thread, memory) {
+        let mut steps = Vec::new();
+        enabled_steps(config, self.code, self.tid, thread, memory, &mut steps);
+        for kind in steps {
             let mut th = thread.clone();
             let mut mem = memory.clone();
-            let ev = apply_step(config, self.code, self.tid, &kind, &mut th, &mut mem)
+            let (ev, _) = apply_step(config, self.code, self.tid, &kind, &mut th, &mut mem)
                 .expect("enabled step must apply");
             let (sub_reached, sub_qualified) = self.explore(&th, &mem, depth - 1);
             if !sub_reached {
@@ -237,7 +239,16 @@ impl LegacyThreadDfs<'_> {
         } else if thread.state.stuck.is_some() {
             stats.bound_hits += 1;
         } else {
-            for kind in enabled_steps(self.m.config(), self.code, self.tid, thread, memory) {
+            let mut steps = Vec::new();
+            enabled_steps(
+                self.m.config(),
+                self.code,
+                self.tid,
+                thread,
+                memory,
+                &mut steps,
+            );
+            for kind in steps {
                 if kind.appends_write() {
                     continue; // non-promise mode: no new writes
                 }

@@ -24,7 +24,14 @@
 //! orders reach the same state. The memo table ([`CertMemo`]) can be
 //! shared across calls: sibling branches of an exploration repeatedly
 //! certify near-identical configurations, and a shared memo turns those
-//! repeats into hash lookups.
+//! repeats into hash lookups. Memo values share their promise sets
+//! behind an [`Rc`], so a hit copies no set.
+//!
+//! Each query clones the thread and the memory once and then steps that
+//! one copy in place, undoing every step on backtrack from its
+//! [`crate::machine::Undo`] record. The copy-on-write maps and vectors
+//! therefore stay unique after their first write, and a node of the
+//! search allocates nothing for its state.
 
 use crate::config::Config;
 use crate::fingerprint::{Fingerprint, FpHashMap, FpHasher};
@@ -36,6 +43,7 @@ use crate::machine::{
 use crate::memory::{Memory, Msg};
 use crate::stmt::ThreadCode;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Result of [`find_and_certify`].
@@ -95,17 +103,17 @@ enum ExactKey {
 /// so it only satisfies queries with no more budget than that (deeper
 /// queries recompute and overwrite). Complete entries cover the full
 /// subtree and are budget-independent.
-#[derive(Clone)]
 struct MemoValue {
     reached: bool,
-    qualified: BTreeSet<Msg>,
+    qualified: Rc<BTreeSet<Msg>>,
     truncated: bool,
     depth: u32,
 }
 
 struct MemoEntry {
-    /// Exact key for collision detection (paranoid mode only).
-    exact: Option<ExactKey>,
+    /// Exact key for collision detection (paranoid mode only), boxed so
+    /// the normal mode's entries stay small.
+    exact: Option<Box<ExactKey>>,
     /// For restricted entries: a stamp of the full context (base
     /// timestamp + whole memory) at insertion time. A later hit whose
     /// context stamp differs is a *survived* hit — the certificate
@@ -236,7 +244,7 @@ impl CertMemo {
         };
         if let Some(stored) = &entry.exact {
             assert!(
-                *stored == exact(),
+                **stored == exact(),
                 "certification fingerprint collision at {fp}: distinct sub-problems"
             );
         }
@@ -262,7 +270,7 @@ impl CertMemo {
         stamp: Option<Fingerprint>,
         value: MemoValue,
     ) {
-        let exact = self.paranoid.then(exact);
+        let exact = self.paranoid.then(|| Box::new(exact()));
         self.map.insert(
             fp,
             MemoEntry {
@@ -289,45 +297,37 @@ pub fn find_and_certify_with(
     memo: &mut CertMemo,
     deadline: Option<Instant>,
 ) -> CertResult {
-    let code = &machine.program().threads()[tid.0];
-    let scope = machine
-        .thread_cert_scope(tid)
-        .filter(|_| machine.config().por);
-    let mut engine = Engine {
-        config: machine.config(),
-        code,
-        tid,
-        base_ts: machine.memory().max_timestamp(),
-        scope: scope.as_ref(),
-        memo,
-        bound_hit: false,
-        deadline,
-        deadline_hit: false,
-        ticks: 0,
-    };
-    let root_thread = machine.thread(tid);
-    let root_memory = machine.memory();
+    let scope = cert_scope(machine, tid);
+    let mut engine = Engine::new(machine, tid, scope.as_ref(), memo, deadline);
+    let mut thread = machine.thread(tid).clone();
+    let mut memory = machine.memory().clone();
     let depth = machine.config().cert_depth;
 
-    let (certified, promisable) = engine.explore(root_thread, root_memory, depth);
+    let (certified, promisable) = engine.explore(&mut thread, &mut memory, 0, depth);
 
     // Certified first steps: re-expand the root one step and query the memo
     // (already warm from the exploration above).
     let mut certified_first_steps = Vec::new();
-    for kind in enabled_steps(machine.config(), code, tid, root_thread, root_memory) {
-        let mut th = root_thread.clone();
-        let mut mem = root_memory.clone();
-        apply_step(machine.config(), code, tid, &kind, &mut th, &mut mem)
+    let (config, code) = (engine.config, engine.code);
+    enabled_steps(
+        config,
+        code,
+        tid,
+        &thread,
+        &memory,
+        &mut certified_first_steps,
+    );
+    certified_first_steps.retain(|kind| {
+        let (_, undo) = apply_step(config, code, tid, kind, &mut thread, &mut memory)
             .expect("enabled step must apply");
-        let (reached, _) = engine.explore(&th, &mem, depth.saturating_sub(1));
-        if reached {
-            certified_first_steps.push(kind);
-        }
-    }
+        let (reached, _) = engine.explore(&mut thread, &mut memory, 1, depth.saturating_sub(1));
+        undo.restore(&mut thread, &mut memory);
+        reached
+    });
 
     CertResult {
         certified,
-        promisable,
+        promisable: Rc::unwrap_or_clone(promisable),
         certified_first_steps,
         bound_hit: engine.bound_hit,
         deadline_hit: engine.deadline_hit,
@@ -343,25 +343,21 @@ pub fn find_promises_with(
     memo: &mut CertMemo,
     deadline: Option<Instant>,
 ) -> (BTreeSet<Msg>, bool) {
-    let code = &machine.program().threads()[tid.0];
-    let scope = machine
-        .thread_cert_scope(tid)
-        .filter(|_| machine.config().por);
-    let mut engine = Engine {
-        config: machine.config(),
-        code,
-        tid,
-        base_ts: machine.memory().max_timestamp(),
-        scope: scope.as_ref(),
-        memo,
-        bound_hit: false,
-        deadline,
-        deadline_hit: false,
-        ticks: 0,
-    };
+    let scope = cert_scope(machine, tid);
+    let mut engine = Engine::new(machine, tid, scope.as_ref(), memo, deadline);
+    let mut thread = machine.thread(tid).clone();
+    let mut memory = machine.memory().clone();
     let depth = machine.config().cert_depth;
-    let (_, promisable) = engine.explore(machine.thread(tid), machine.memory(), depth);
-    (promisable, engine.deadline_hit)
+    let (_, promisable) = engine.explore(&mut thread, &mut memory, 0, depth);
+    (Rc::unwrap_or_clone(promisable), engine.deadline_hit)
+}
+
+/// The scope the restricted memo keys use: the thread's certification
+/// scope when it is known and reductions are on, else none.
+fn cert_scope(machine: &Machine, tid: TId) -> Option<LocSet> {
+    machine
+        .thread_cert_scope(tid)
+        .filter(|_| machine.config().por)
 }
 
 /// Cheap certification check only (no promise enumeration): is the
@@ -394,9 +390,36 @@ struct Engine<'a> {
     deadline: Option<Instant>,
     deadline_hit: bool,
     ticks: u32,
+    /// The one empty set every sub-search that qualifies nothing shares.
+    empty: Rc<BTreeSet<Msg>>,
+    /// `enabled_steps` buffers, one per distance from the query's root.
+    steps: Vec<Vec<TransitionKind>>,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    fn new(
+        machine: &'a Machine,
+        tid: TId,
+        scope: Option<&'a LocSet>,
+        memo: &'a mut CertMemo,
+        deadline: Option<Instant>,
+    ) -> Engine<'a> {
+        Engine {
+            config: machine.config(),
+            code: &machine.program().threads()[tid.0],
+            tid,
+            base_ts: machine.memory().max_timestamp(),
+            scope,
+            memo,
+            bound_hit: false,
+            deadline,
+            deadline_hit: false,
+            ticks: 0,
+            empty: Rc::default(),
+            steps: Vec::new(),
+        }
+    }
+
     /// True once the deadline has passed (checked every
     /// [`DEADLINE_CHECK_PERIOD`] nodes; sticky once hit).
     fn out_of_time(&mut self) -> bool {
@@ -447,14 +470,18 @@ impl Engine<'_> {
     /// so sharing them across contexts with different bases would
     /// confuse `pre_view ≤ base` verdicts (a position can be cert-local
     /// in one context and pre-existing in another).
+    ///
+    /// `thread` and `memory` are stepped in place and handed back as
+    /// they came; `level` is the distance from the query's root.
     fn explore(
         &mut self,
-        thread: &ThreadInstance,
-        memory: &Memory,
+        thread: &mut ThreadInstance,
+        memory: &mut Memory,
+        level: usize,
         depth: u32,
-    ) -> (bool, BTreeSet<Msg>) {
+    ) -> (bool, Rc<BTreeSet<Msg>>) {
         let (tid, base_ts) = (self.tid, self.base_ts);
-        // Copied out of `self`, so the exact-key closure below borrows no
+        // Copied out of `self`, so the exact-key closures below borrow no
         // engine state across the recursion.
         let restricted = self.scope.filter(|_| memory.max_timestamp() == base_ts);
         let (fp, stamp) = match restricted {
@@ -464,7 +491,7 @@ impl Engine<'_> {
             ),
             None => (CertMemo::full_key(tid, base_ts, thread, memory), None),
         };
-        let exact = || match restricted {
+        let exact = |thread: &ThreadInstance, memory: &Memory| match restricted {
             Some(scope) => ExactKey::Restricted {
                 tid,
                 thread: thread.clone(),
@@ -477,48 +504,55 @@ impl Engine<'_> {
             },
             None => ExactKey::Full(tid, base_ts, thread.clone(), memory.clone()),
         };
-        if let Some(hit) = self.memo.get(fp, exact, stamp, depth) {
+        if let Some(hit) = self.memo.get(fp, || exact(thread, memory), stamp, depth) {
             // A reused entry computed under a depth-truncated sub-search
             // must re-raise the incompleteness flag for *this* query too
             // (the memo may be shared across calls).
             self.bound_hit |= hit.truncated;
-            return (hit.reached, hit.qualified.clone());
+            return (hit.reached, Rc::clone(&hit.qualified));
         }
         if self.out_of_time() {
             // Truncated: report what is locally known, memoise nothing.
-            return (thread.state.prom.is_empty(), BTreeSet::new());
+            return (thread.state.prom.is_empty(), Rc::clone(&self.empty));
         }
         if depth == 0 {
             self.bound_hit = true;
-            return (thread.state.prom.is_empty(), BTreeSet::new());
+            return (thread.state.prom.is_empty(), Rc::clone(&self.empty));
         }
 
         let mut reached = thread.state.prom.is_empty();
-        let mut qualified = BTreeSet::new();
+        let mut qualified = Rc::clone(&self.empty);
         // Track whether *this* subtree hits the bound, separately from the
         // engine-global sticky flag, to record it in the memo entry.
         let bound_before = std::mem::replace(&mut self.bound_hit, false);
 
-        for kind in enabled_steps(self.config, self.code, self.tid, thread, memory) {
+        if self.steps.len() <= level {
+            self.steps.resize_with(level + 1, Vec::new);
+        }
+        let mut steps = std::mem::take(&mut self.steps[level]);
+        enabled_steps(self.config, self.code, tid, thread, memory, &mut steps);
+        for kind in &steps {
             if self.deadline_hit {
                 break;
             }
-            let mut th = thread.clone();
-            let mut mem = memory.clone();
-            // Record the coherence view at the store's location *before*
-            // the write, for the §B qualification check.
-            let ev = apply_step(self.config, self.code, self.tid, &kind, &mut th, &mut mem)
+            let (ev, undo) = apply_step(self.config, self.code, tid, kind, thread, memory)
                 .expect("enabled step must apply");
-            let (sub_reached, sub_qualified) = self.explore(&th, &mem, depth - 1);
+            let (sub_reached, sub_qualified) = self.explore(thread, memory, level + 1, depth - 1);
+            undo.restore(thread, memory);
             if !sub_reached {
                 continue;
             }
             reached = true;
-            qualified.extend(sub_qualified);
+            if qualified.is_empty() {
+                qualified = sub_qualified;
+            } else if !sub_qualified.is_subset(&qualified) {
+                Rc::make_mut(&mut qualified).extend(sub_qualified.iter().copied());
+            }
             if kind.appends_write() {
                 // §B step 3: pre-view and coherence view (before the
-                // write) at most the pre-certification max timestamp. For
-                // an RMW the event's pre_view already folds in the read's
+                // write, which `thread` is back at) at most the
+                // pre-certification max timestamp. For an RMW the
+                // event's pre_view already folds in the read's
                 // post-view, so joining the pre-transition coherence view
                 // reconstructs the bound at the write point.
                 let (loc, val, pre_view) = match ev {
@@ -530,12 +564,15 @@ impl Engine<'_> {
                     } => (loc, new, pre_view),
                     _ => unreachable!("appends_write steps report their write"),
                 };
-                let coh_before = thread.state.coh(loc);
-                if pre_view.join(coh_before).timestamp() <= self.base_ts {
-                    qualified.insert(Msg::new(loc, val, self.tid));
+                let msg = Msg::new(loc, val, tid);
+                if pre_view.join(thread.state.coh(loc)).timestamp() <= base_ts
+                    && !qualified.contains(&msg)
+                {
+                    Rc::make_mut(&mut qualified).insert(msg);
                 }
             }
         }
+        self.steps[level] = steps;
 
         let truncated = self.bound_hit;
         self.bound_hit |= bound_before;
@@ -545,11 +582,11 @@ impl Engine<'_> {
             // results are memoised but carry the `truncated` flag.
             self.memo.insert(
                 fp,
-                exact,
+                || exact(thread, memory),
                 stamp,
                 MemoValue {
                     reached,
-                    qualified: qualified.clone(),
+                    qualified: Rc::clone(&qualified),
                     truncated,
                     depth,
                 },

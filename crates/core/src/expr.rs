@@ -168,12 +168,23 @@ impl Expr {
     /// The interpretation function `⟦e⟧m` of Fig. 5: evaluate to a
     /// value–view pair under register state `m`.
     pub fn eval(&self, m: &RegFile) -> (Val, View) {
+        self.eval_by(&|r| m.get(r))
+    }
+
+    /// `⟦e⟧m[r ↦ v]`: evaluate as if register `r` held `v`, without
+    /// writing the register file. The RMW rules evaluate their compare
+    /// and operand this way in the state after the read half.
+    pub(crate) fn eval_with(&self, m: &RegFile, r: Reg, v: (Val, View)) -> (Val, View) {
+        self.eval_by(&|q| if q == r { v } else { m.get(q) })
+    }
+
+    fn eval_by(&self, get: &impl Fn(Reg) -> (Val, View)) -> (Val, View) {
         match self {
             Expr::Const(v) => (*v, View::ZERO),
-            Expr::Reg(r) => m.get(*r),
+            Expr::Reg(r) => get(*r),
             Expr::Binop(op, lhs, rhs) => {
-                let (v1, n1) = lhs.eval(m);
-                let (v2, n2) = rhs.eval(m);
+                let (v1, n1) = lhs.eval_by(get);
+                let (v2, n2) = rhs.eval_by(get);
                 (op.apply(v1, v2), n1.join(n2))
             }
         }

@@ -77,7 +77,7 @@ pub use ids::{Loc, Reg, TId, Timestamp, Val, View};
 pub use lex::{LocTable, Tokens};
 pub use machine::{
     apply_step, enabled_steps, Cont, Machine, StateKey, StepError, StepEvent, ThreadInstance,
-    Transition, TransitionKind,
+    Transition, TransitionKind, Undo,
 };
 pub use memory::{Memory, Msg};
 pub use outcome::Outcome;

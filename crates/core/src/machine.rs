@@ -22,7 +22,7 @@ use crate::footprint::{Footprint, LocSet};
 use crate::ids::{Loc, Reg, TId, Timestamp, Val, View};
 use crate::memory::{Memory, Msg};
 use crate::stmt::{MayAccess, Program, ReadKind, RmwOp, Stmt, StmtId, ThreadCode, WriteKind};
-use crate::thread::{ExclBank, Forward, RegFile, StuckReason, ThreadState};
+use crate::thread::{ExclBank, Forward, LocEntries, RegEntry, Scalars, StuckReason, ThreadState};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
@@ -31,9 +31,11 @@ use std::sync::Arc;
 /// A continuation: the stack of statement ids still to run (next on top).
 ///
 /// The stack is behind an [`Arc`] with copy-on-write mutation, so
-/// cloning a thread — which exploration does once per transition — is a
-/// reference-count bump; only the acting thread's stack is ever copied.
-/// Reads go through [`Deref`] to `[StmtId]`.
+/// cloning a thread — which the engines do once per transition — is a
+/// reference-count bump, and only the acting thread's stack is copied.
+/// The thread-local searches step one owned thread in place and undo on
+/// backtrack, so their stack is copied once per query. Reads go through
+/// [`Deref`] to `[StmtId]`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Cont(Arc<Vec<StmtId>>);
 
@@ -51,6 +53,77 @@ impl Cont {
     /// Pop the top statement. Copy-on-write.
     pub fn pop(&mut self) -> Option<StmtId> {
         Arc::make_mut(&mut self.0).pop()
+    }
+
+    fn truncate(&mut self, len: usize) {
+        Arc::make_mut(&mut self.0).truncate(len);
+    }
+}
+
+/// How many statements a step may pop from below the part of the
+/// continuation it leaves untouched before its undo record falls back
+/// to keeping the whole previous stack. A step pops its own statement
+/// and at most one enclosing `Seq`, unless `skip`s sit in between.
+const CONT_UNDO_CAP: usize = 3;
+
+/// What a step did to a continuation, enough to put it back.
+#[derive(Debug)]
+enum ContUndo {
+    /// The step left `cont[..floor]` untouched and popped `popped[..n]`
+    /// from above it, in pop order; everything above `floor` now was
+    /// pushed by the step.
+    Popped {
+        floor: u32,
+        n: u8,
+        popped: [StmtId; CONT_UNDO_CAP],
+    },
+    /// The whole previous stack, for a step that popped more.
+    Whole(Cont),
+}
+
+impl ContUndo {
+    fn new(cont: &Cont) -> ContUndo {
+        ContUndo::Popped {
+            floor: cont.len() as u32,
+            n: 0,
+            popped: [StmtId(0); CONT_UNDO_CAP],
+        }
+    }
+
+    /// Pop `cont`, remembering a statement popped from below the floor.
+    fn pop(&mut self, cont: &mut Cont) -> Option<StmtId> {
+        let len = cont.len();
+        let s = cont.pop()?;
+        if let ContUndo::Popped { floor, n, popped } = self {
+            if len == *floor as usize {
+                if usize::from(*n) < CONT_UNDO_CAP {
+                    popped[usize::from(*n)] = s;
+                    *n += 1;
+                    *floor -= 1;
+                } else {
+                    let mut prev = cont.to_vec();
+                    prev.push(s);
+                    prev.extend(popped.iter().rev());
+                    *self = ContUndo::Whole(Cont::new(prev));
+                }
+            }
+        }
+        Some(s)
+    }
+
+    fn restore(self, cont: &mut Cont) {
+        match self {
+            ContUndo::Popped { floor, n, popped } => {
+                if n == 0 && cont.len() == floor as usize {
+                    return;
+                }
+                cont.truncate(floor as usize);
+                for &s in popped[..usize::from(n)].iter().rev() {
+                    cont.push(s);
+                }
+            }
+            ContUndo::Whole(prev) => *cont = prev,
+        }
     }
 }
 
@@ -73,6 +146,16 @@ pub struct ThreadInstance {
 }
 
 impl ThreadInstance {
+    fn new(code: &ThreadCode, fuel: u32) -> ThreadInstance {
+        let mut cont = Cont::new(vec![code.entry()]);
+        let mut undo = ContUndo::new(&cont);
+        normalize(code, &mut cont, &mut undo);
+        ThreadInstance {
+            cont,
+            state: ThreadState::new(fuel),
+        }
+    }
+
     /// Whether the thread has run its whole program (promises may remain).
     pub fn is_done(&self) -> bool {
         self.cont.is_empty()
@@ -292,14 +375,7 @@ impl Machine {
         let threads = program
             .threads()
             .iter()
-            .map(|code| {
-                let mut t = ThreadInstance {
-                    cont: Cont::new(vec![code.entry()]),
-                    state: ThreadState::new(config.loop_fuel),
-                };
-                normalize(code, &mut t.cont);
-                t
-            })
+            .map(|code| ThreadInstance::new(code, config.loop_fuel))
             .collect();
         Machine {
             config: Arc::new(config),
@@ -368,7 +444,16 @@ impl Machine {
     /// promises, no certification filtering).
     pub fn thread_steps(&self, tid: TId) -> Vec<TransitionKind> {
         let code = &self.program.threads()[tid.0];
-        enabled_steps(&self.config, code, tid, &self.threads[tid.0], &self.memory)
+        let mut out = Vec::new();
+        enabled_steps(
+            &self.config,
+            code,
+            tid,
+            &self.threads[tid.0],
+            &self.memory,
+            &mut out,
+        );
+        out
     }
 
     /// Whether `tid`'s only enabled thread-local step is the
@@ -415,6 +500,7 @@ impl Machine {
             &mut self.threads[tr.tid.0],
             &mut self.memory,
         )
+        .map(|(event, _)| event)
     }
 
     /// The *machine steps* of Fig. 5: thread steps filtered so that the
@@ -633,16 +719,16 @@ pub struct StateKey {
 
 /// Drain administrative structure from the top of a continuation:
 /// `Seq(a, b)` unfolds to `a` then `b`; `skip` is dropped.
-pub(crate) fn normalize(code: &ThreadCode, cont: &mut Cont) {
+fn normalize(code: &ThreadCode, cont: &mut Cont, undo: &mut ContUndo) {
     while let Some(&top) = cont.last() {
         match code.stmt(top) {
             Stmt::Seq(a, b) => {
-                cont.pop();
+                undo.pop(cont);
                 cont.push(*b);
                 cont.push(*a);
             }
             Stmt::Skip => {
-                cont.pop();
+                undo.pop(cont);
             }
             _ => break,
         }
@@ -667,41 +753,74 @@ fn load_pre_view(state: &ThreadState, rk: ReadKind, v_addr: View) -> View {
 ///        ⊔ ((a = RISC-V ∧ xcl) ? xclb.view)`.
 fn store_pre_view(
     arch: Arch,
-    state: &ThreadState,
+    s: &Scalars,
     wk: WriteKind,
     exclusive: bool,
     v_addr: View,
     v_data: View,
 ) -> View {
-    let xclb_view = match (arch, exclusive, &state.xclb) {
+    let xclb_view = match (arch, exclusive, &s.xclb) {
         (Arch::RiscV, true, Some(x)) => x.view,
         _ => View::ZERO,
     };
     v_addr
         .join(v_data)
-        .join(state.vw_new)
-        .join(state.v_cap)
+        .join(s.vw_new)
+        .join(s.v_cap)
         .join(View::when(
             wk >= WriteKind::WeakRelease,
-            state.vr_old.join(state.vw_old),
+            s.vr_old.join(s.vw_old),
         ))
         .join(xclb_view)
+}
+
+/// The data view of an RMW's write half, as in its canonical desugaring:
+/// the fetch-ops read the old value, swap and CAS write the operand alone.
+fn rmw_data_view(op: RmwOp, v_op: View, v_old: View) -> View {
+    match op {
+        RmwOp::Cas | RmwOp::Swp => v_op,
+        _ => v_op.join(v_old),
+    }
 }
 
 /// Timestamps a load of `loc` may read from (the `read` rule's side
 /// conditions): the latest same-location write at or below
 /// `νpre ⊔ coh(loc)`, and every same-location write above that bound.
-pub(crate) fn read_candidates(
+fn read_candidates<'m>(
     state: &ThreadState,
-    memory: &Memory,
+    memory: &'m Memory,
     loc: Loc,
     v_pre: View,
-) -> Vec<Timestamp> {
+) -> impl Iterator<Item = Timestamp> + 'm {
     let bound = v_pre.join(state.coh(loc));
     let tmin = memory.latest_write_at_most(loc, bound.timestamp());
-    let mut out = vec![tmin];
-    out.extend(memory.writes_to(loc).filter(|t| t.0 > bound.0));
-    out
+    std::iter::once(tmin).chain(memory.writes_to(loc).filter(move |t| t.0 > bound.0))
+}
+
+impl Scalars {
+    /// The `read` rule's update of the scalar views and the exclusives
+    /// bank, for a load of kind `rk` reading `t` with post-view `v_post`.
+    fn absorb_read(
+        &mut self,
+        rk: ReadKind,
+        exclusive: bool,
+        v_addr: View,
+        v_post: View,
+        t: Timestamp,
+    ) {
+        self.vr_old = self.vr_old.join(v_post);
+        if rk >= ReadKind::WeakAcquire {
+            self.vr_new = self.vr_new.join(v_post);
+            self.vw_new = self.vw_new.join(v_post);
+        }
+        self.v_cap = self.v_cap.join(v_addr);
+        if exclusive {
+            self.xclb = Some(ExclBank {
+                time: t,
+                view: v_post,
+            });
+        }
+    }
 }
 
 /// The state update of the `read` rule (Fig. 5), shared by `Load` and the
@@ -734,18 +853,9 @@ fn apply_read_effects(
     let v_post = v_pre.join(st.read_view(config.arch, rk, loc, t));
     st.regs.set(reg, val, v_post);
     st.bump_coh(loc, v_post);
-    st.vr_old = st.vr_old.join(v_post);
-    if rk >= ReadKind::WeakAcquire {
-        st.vr_new = st.vr_new.join(v_post);
-        st.vw_new = st.vw_new.join(v_post);
-    }
-    st.v_cap = st.v_cap.join(v_addr);
-    if exclusive {
-        st.xclb = Some(ExclBank {
-            time: t,
-            view: v_post,
-        });
-    }
+    let mut s = st.scalars();
+    s.absorb_read(rk, exclusive, v_addr, v_post, t);
+    st.set_scalars(s);
     Ok((val, v_post))
 }
 
@@ -767,7 +877,7 @@ fn apply_write_effects(
     v_data: View,
     t: Timestamp,
 ) -> Result<View, StepError> {
-    let v_pre = store_pre_view(config.arch, st, wk, exclusive, v_addr, v_data);
+    let v_pre = store_pre_view(config.arch, &st.scalars(), wk, exclusive, v_addr, v_data);
     if v_pre.join(st.coh(loc)).timestamp() >= t {
         return Err(StepError::TooLate);
     }
@@ -800,54 +910,41 @@ fn apply_write_effects(
     Ok(v_pre)
 }
 
-/// The CAS compare of an [`Stmt::Rmw`]: the expected value, evaluated as
-/// the desugared guard does — with `dst` reading as the just-loaded old
-/// value — without cloning or mutating the register file (this runs on
-/// the exploration hot path).
-fn cas_expected(regs: &RegFile, dst: Reg, old: Val, expected: &Expr) -> Val {
-    match expected {
-        Expr::Const(v) => *v,
-        Expr::Reg(r) if *r == dst => old,
-        Expr::Reg(r) => regs.value(*r),
-        Expr::Binop(op, a, b) => op.apply(
-            cas_expected(regs, dst, old, a),
-            cas_expected(regs, dst, old, b),
-        ),
-    }
-}
-
 /// Classify and enumerate the enabled thread-local steps of one thread
-/// against a memory, outside a full machine. Exploration engines use this
-/// to run threads in isolation (certification, promise-first phase 2).
+/// against a memory, outside a full machine, into `out` (cleared
+/// first). Exploration engines use this to run threads in isolation
+/// (certification, promise-first phase 2), reusing one buffer per depth.
 pub fn enabled_steps(
     config: &Config,
     code: &ThreadCode,
     tid: TId,
     thread: &ThreadInstance,
     memory: &Memory,
-) -> Vec<TransitionKind> {
+    out: &mut Vec<TransitionKind>,
+) {
+    out.clear();
     if thread.state.stuck.is_some() {
-        return Vec::new();
+        return;
     }
     let Some(&top) = thread.cont.last() else {
-        return Vec::new();
+        return;
     };
     let state = &thread.state;
     match code.stmt(top) {
         Stmt::Skip | Stmt::Seq(..) => unreachable!("continuation is normalized"),
         Stmt::Assign { .. } | Stmt::Fence(_) | Stmt::Isb | Stmt::If { .. } | Stmt::While { .. } => {
-            vec![TransitionKind::Internal]
+            out.push(TransitionKind::Internal);
         }
         Stmt::Load { addr, kind, .. } => {
             let (loc, v_addr) = eval_addr(addr, state);
             if !config.shared.is_shared(loc) {
-                return vec![TransitionKind::Internal];
+                out.push(TransitionKind::Internal);
+                return;
             }
             let v_pre = load_pre_view(state, *kind, v_addr);
-            read_candidates(state, memory, loc, v_pre)
-                .into_iter()
-                .map(|t| TransitionKind::Read { t })
-                .collect()
+            out.extend(
+                read_candidates(state, memory, loc, v_pre).map(|t| TransitionKind::Read { t }),
+            );
         }
         Stmt::Store {
             addr,
@@ -858,12 +955,19 @@ pub fn enabled_steps(
         } => {
             let (loc, v_addr) = eval_addr(addr, state);
             if !config.shared.is_shared(loc) {
-                return vec![TransitionKind::Internal];
+                out.push(TransitionKind::Internal);
+                return;
             }
             let (val, v_data) = data.eval(&state.regs);
-            let v_pre = store_pre_view(config.arch, state, *kind, *exclusive, v_addr, v_data);
+            let v_pre = store_pre_view(
+                config.arch,
+                &state.scalars(),
+                *kind,
+                *exclusive,
+                v_addr,
+                v_data,
+            );
             let floor = v_pre.join(state.coh(loc));
-            let mut out = Vec::new();
             // Fulfil an outstanding promise with a matching message.
             for &t in &state.prom {
                 if floor.timestamp() >= t {
@@ -898,7 +1002,6 @@ pub fn enabled_steps(
             if *exclusive {
                 out.push(TransitionKind::ExclFail);
             }
-            out
         }
         Stmt::Rmw {
             op,
@@ -912,36 +1015,33 @@ pub fn enabled_steps(
         } => {
             let (loc, v_addr) = eval_addr(addr, state);
             if !config.shared.is_shared(loc) {
-                return vec![TransitionKind::Internal];
+                out.push(TransitionKind::Internal);
+                return;
             }
             let v_pre = load_pre_view(state, *rk, v_addr);
-            let mut out = Vec::new();
             for tr in read_candidates(state, memory, loc, v_pre) {
                 let old = memory.read(loc, tr).expect("candidate reads back");
-                // simulate the read half on a (structurally-shared) copy
-                // to evaluate the compare, the data, and the write
-                // placement constraints in the post-read state
-                let mut st = state.clone();
-                let (_, v_old) =
-                    apply_read_effects(config, memory, &mut st, *dst, *rk, true, loc, v_addr, tr)
-                        .expect("candidate read applies");
+                // the read half's effect on what the compare, the data
+                // and the write placement read: `dst`, the scalar views
+                // and `coh(loc)`, computed on copies
+                let v_old = v_pre.join(state.read_view(config.arch, *rk, loc, tr));
+                let mut after = state.scalars();
+                after.absorb_read(*rk, true, v_addr, v_old, tr);
                 if let Some(exp) = expected {
-                    let (ev, v_exp) = exp.eval(&st.regs);
-                    st.v_cap = st.v_cap.join(v_old).join(v_exp);
+                    let (ev, v_exp) = exp.eval_with(&state.regs, *dst, (old, v_old));
+                    after.v_cap = after.v_cap.join(v_old).join(v_exp);
                     if old != ev {
                         // compare failure: the read half alone
                         out.push(TransitionKind::Read { t: tr });
                         continue;
                     }
                 }
-                let (opv, v_op) = operand.eval(&st.regs);
+                let (opv, v_op) = operand.eval_with(&state.regs, *dst, (old, v_old));
                 let new = op.apply(old, opv);
-                let v_data = match op {
-                    RmwOp::Cas | RmwOp::Swp => v_op,
-                    _ => v_op.join(v_old),
-                };
-                let v_pre_w = store_pre_view(config.arch, &st, *wk, true, v_addr, v_data);
-                let floor = v_pre_w.join(st.coh(loc));
+                let v_data = rmw_data_view(*op, v_op, v_old);
+                let floor = store_pre_view(config.arch, &after, *wk, true, v_addr, v_data)
+                    .join(state.coh(loc))
+                    .join(v_old);
                 // fulfil an outstanding promise with a matching message
                 for &t in &state.prom {
                     if floor.timestamp() >= t {
@@ -960,8 +1060,92 @@ pub fn enabled_steps(
                     out.push(TransitionKind::Rmw { tr, tw: None });
                 }
             }
-            out
         }
+    }
+}
+
+/// The undo record of one step: what [`apply_step`] overwrote, enough
+/// for [`Undo::restore`] to put the thread and memory back exactly. It
+/// is fixed-size, so a search that steps one owned thread and memory in
+/// place and undoes on backtrack allocates nothing per step, unless a
+/// step pops more than three statements off the continuation.
+#[derive(Debug)]
+pub struct Undo {
+    scalars: Scalars,
+    /// The registers the step may write, with their previous entries.
+    regs: [Option<(Reg, RegEntry)>; 2],
+    /// The location the step accesses, with the thread's entries there.
+    loc: Option<(Loc, LocEntries)>,
+    /// The outstanding promise the step may fulfil.
+    fulfilled: Option<Timestamp>,
+    cont: ContUndo,
+    mem_len: usize,
+    mem_digest: FpHasher,
+}
+
+impl Undo {
+    /// Save what applying `kind` to `thread` and `memory` may overwrite.
+    fn record(
+        code: &ThreadCode,
+        kind: &TransitionKind,
+        thread: &ThreadInstance,
+        memory: &Memory,
+    ) -> Undo {
+        let st = &thread.state;
+        let head = match kind {
+            TransitionKind::Promise { .. } => None,
+            _ => thread.cont.last().map(|&top| code.stmt(top)),
+        };
+        let (written, addr) = match head {
+            Some(Stmt::Assign { reg, .. }) => ([Some(*reg), None], None),
+            Some(Stmt::Load { reg, addr, .. }) => ([Some(*reg), None], Some(addr)),
+            Some(Stmt::Store { succ, addr, .. }) => ([Some(*succ), None], Some(addr)),
+            Some(Stmt::Rmw {
+                dst, succ, addr, ..
+            }) => ([Some(*dst), Some(*succ)], Some(addr)),
+            _ => ([None, None], None),
+        };
+        let fulfilled = match kind {
+            TransitionKind::Fulfil { t } | TransitionKind::Rmw { tw: Some(t), .. } => {
+                st.prom.contains(t).then_some(*t)
+            }
+            _ => None,
+        };
+        Undo {
+            scalars: st.scalars(),
+            regs: written.map(|r| r.map(|r| (r, st.regs.entry(r)))),
+            loc: addr.map(|a| {
+                let (l, _) = eval_addr(a, st);
+                (l, st.loc_entries(l))
+            }),
+            fulfilled,
+            cont: ContUndo::new(&thread.cont),
+            mem_len: memory.len(),
+            mem_digest: memory.digest(),
+        }
+    }
+
+    /// Put `thread` and `memory` back as they were before the step this
+    /// record was made for. Promises above the restored memory are
+    /// dropped: the step made them. Nothing shared is copied unless the
+    /// step changed it.
+    pub fn restore(self, thread: &mut ThreadInstance, memory: &mut Memory) {
+        memory.truncate(self.mem_len, self.mem_digest);
+        let st = &mut thread.state;
+        st.set_scalars(self.scalars);
+        for (r, e) in self.regs.into_iter().flatten() {
+            st.regs.restore(r, e);
+        }
+        if let Some((l, e)) = self.loc {
+            st.restore_loc(l, e);
+        }
+        if let Some(t) = self.fulfilled {
+            st.prom.insert(t);
+        }
+        while st.prom.last().is_some_and(|t| t.0 as usize > self.mem_len) {
+            st.prom.pop_last();
+        }
+        self.cont.restore(&mut thread.cont);
     }
 }
 
@@ -969,12 +1153,14 @@ pub fn enabled_steps(
 /// authoritative implementation of Fig. 5's rules; [`Machine::apply`], the
 /// certification engine, and the exploration engines all use it.
 ///
+/// Returns what happened and the step's [`Undo`] record. The
+/// thread-local searches step one thread and memory in place and undo on
+/// backtrack; [`Machine::apply`] drops the record.
+///
 /// # Errors
 ///
-/// Returns a [`StepError`] if the transition is not enabled; the thread and
-/// memory may have been partially modified only in the `WriteNormal` error
-/// paths, so callers should treat an `Err` as poisoning the copies they
-/// passed in.
+/// Returns a [`StepError`] if the transition is not enabled, leaving the
+/// thread and memory unchanged.
 pub fn apply_step(
     config: &Config,
     code: &ThreadCode,
@@ -982,6 +1168,27 @@ pub fn apply_step(
     kind: &TransitionKind,
     thread: &mut ThreadInstance,
     memory: &mut Memory,
+) -> Result<(StepEvent, Undo), StepError> {
+    let mut undo = Undo::record(code, kind, thread, memory);
+    match step(config, code, tid, kind, thread, memory, &mut undo.cont) {
+        Ok(event) => Ok((event, undo)),
+        Err(e) => {
+            undo.restore(thread, memory);
+            Err(e)
+        }
+    }
+}
+
+/// The rules of Fig. 5, applied in place. May leave partial effects on
+/// `Err`; [`apply_step`] undoes them.
+fn step(
+    config: &Config,
+    code: &ThreadCode,
+    tid: TId,
+    kind: &TransitionKind,
+    thread: &mut ThreadInstance,
+    memory: &mut Memory,
+    cont_undo: &mut ContUndo,
 ) -> Result<StepEvent, StepError> {
     if thread.state.stuck.is_some() {
         return Err(StepError::ThreadStuck);
@@ -1002,7 +1209,7 @@ pub fn apply_step(
         (Stmt::Assign { reg, expr }, TransitionKind::Internal) => {
             let (v, view) = expr.eval(&thread.state.regs);
             thread.state.regs.set(*reg, v, view);
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::Assigned(*reg, v)
         }
         (Stmt::Fence(f), TransitionKind::Internal) => {
@@ -1017,13 +1224,13 @@ pub fn apply_step(
             if f.post.includes_writes() {
                 st.vw_new = st.vw_new.join(v1);
             }
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::Fenced
         }
         (Stmt::Isb, TransitionKind::Internal) => {
             // isb rule: vrNew ⊔= vCAP (ρ7).
             thread.state.vr_new = thread.state.vr_new.join(thread.state.v_cap);
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::Isb
         }
         (
@@ -1038,7 +1245,7 @@ pub fn apply_step(
             // (r22), continue with the chosen branch.
             let (v, view) = cond.eval(&thread.state.regs);
             thread.state.v_cap = thread.state.v_cap.join(view);
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             thread.cont.push(if v.as_bool() {
                 *then_branch
             } else {
@@ -1061,7 +1268,7 @@ pub fn apply_step(
                 thread.cont.push(*body);
                 StepEvent::Branched(true)
             } else {
-                thread.cont.pop();
+                cont_undo.pop(&mut thread.cont);
                 StepEvent::Branched(false)
             }
         }
@@ -1076,7 +1283,7 @@ pub fn apply_step(
                 .local(loc)
                 .unwrap_or((memory.initial(loc), View::ZERO));
             thread.state.regs.set(*reg, v, v_addr.join(v_loc));
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::LocalRead(loc, v)
         }
         (
@@ -1093,7 +1300,7 @@ pub fn apply_step(
             let (v, v_data) = data.eval(&thread.state.regs);
             thread.state.set_local(loc, v, v_addr.join(v_data));
             thread.state.regs.set(*succ, Val::SUCCESS, View::ZERO);
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::LocalWrite(loc, v)
         }
         (
@@ -1134,15 +1341,12 @@ pub fn apply_step(
             } else {
                 let (opv, v_op) = operand.eval(&st.regs);
                 let new = op.apply(old, opv);
-                let v_data = match op {
-                    RmwOp::Cas | RmwOp::Swp => v_op,
-                    _ => v_op.join(v_old),
-                };
+                let v_data = rmw_data_view(*op, v_op, v_old);
                 st.set_local(loc, new, v_addr.join(v_data));
                 st.regs.set(*succ, Val::SUCCESS, View::ZERO);
                 StepEvent::LocalWrite(loc, new)
             };
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             event
         }
         (
@@ -1170,7 +1374,7 @@ pub fn apply_step(
                 v_addr,
                 t,
             )?;
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::DidRead { loc, val, t }
         }
         (
@@ -1197,7 +1401,8 @@ pub fn apply_step(
                 return Err(StepError::NoSuchWrite);
             };
             let expected = expected.as_ref().expect("CAS carries an expected value");
-            if old == cas_expected(&thread.state.regs, *dst, old, expected) {
+            let (ev, _) = expected.eval_with(&thread.state.regs, *dst, (old, View::ZERO));
+            if old == ev {
                 return Err(StepError::WrongShape);
             }
             let st = &mut thread.state;
@@ -1207,7 +1412,7 @@ pub fn apply_step(
             let (_, v_exp) = expected.eval(&st.regs);
             st.v_cap = st.v_cap.join(v_old).join(v_exp);
             st.regs.set(*succ, Val::FAIL, View::ZERO);
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::DidRead { loc, val: old, t }
         }
         (
@@ -1231,34 +1436,25 @@ pub fn apply_step(
                 return Err(StepError::NoSuchWrite);
             };
             if let Some(exp) = expected {
-                if old != cas_expected(&thread.state.regs, *dst, old, exp) {
+                if old != exp.eval_with(&thread.state.regs, *dst, (old, View::ZERO)).0 {
                     // the compare fails: only the read-only transition is
                     // enabled for this timestamp
                     return Err(StepError::WrongShape);
                 }
             }
-            // Run the whole step against a scratch copy of the thread
-            // state (structural share, O(1) to clone) so a disabled
-            // transition leaves the machine — including the memory, for
-            // the normal-write case — completely untouched.
-            let mut st = thread.state.clone();
+            let st = &mut thread.state;
             let (_, v_old) =
-                apply_read_effects(config, memory, &mut st, *dst, *rk, true, loc, v_addr, *tr)?;
+                apply_read_effects(config, memory, st, *dst, *rk, true, loc, v_addr, *tr)?;
             if let Some(exp) = expected {
                 // the desugared compare guard merges its inputs into vCAP
                 let (_, v_exp) = exp.eval(&st.regs);
                 st.v_cap = st.v_cap.join(v_old).join(v_exp);
             }
-            // the data of the canonical desugaring: the fetch-ops read the
-            // old value, swap and CAS write the operand alone
             let (opv, v_op) = operand.eval(&st.regs);
             let new = op.apply(old, opv);
-            let v_data = match op {
-                RmwOp::Cas | RmwOp::Swp => v_op,
-                _ => v_op.join(v_old),
-            };
+            let v_data = rmw_data_view(*op, v_op, v_old);
             // the write placement: fulfil `tw`, or a fresh normal write at
-            // the end of memory (r20) — appended only after every check
+            // the end of memory (r20)
             let t = match tw {
                 Some(t) => *t,
                 None => Timestamp(memory.max_timestamp().0 + 1),
@@ -1274,28 +1470,17 @@ pub fn apply_step(
                 Some(x) if memory.atomic(loc, tid, x.time, t) => {}
                 _ => return Err(StepError::NotAtomic),
             }
-            if store_pre_view(config.arch, &st, *wk, true, v_addr, v_data)
-                .join(st.coh(loc))
-                .timestamp()
-                >= t
-            {
-                return Err(StepError::TooLate);
-            }
-            // every check passed: commit
             if tw.is_none() {
                 let pushed = memory.push(Msg::new(loc, new, tid));
                 debug_assert_eq!(pushed, t);
                 st.prom.insert(t);
             }
-            let v_pre =
-                apply_write_effects(config, &mut st, *succ, *wk, true, loc, v_addr, v_data, t)
-                    .expect("pre-view/coherence constraint checked above");
+            let v_pre = apply_write_effects(config, st, *succ, *wk, true, loc, v_addr, v_data, t)?;
             // the desugared loop exit branches on the success register,
             // which on RISC-V carries the write's view (ρ12)
             let (_, v_succ) = st.regs.get(*succ);
             st.v_cap = st.v_cap.join(v_succ);
-            thread.state = st;
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::DidRmw {
                 loc,
                 old,
@@ -1351,7 +1536,7 @@ pub fn apply_step(
                 v_data,
                 t,
             )?;
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::DidWrite {
                 loc,
                 val,
@@ -1370,12 +1555,12 @@ pub fn apply_step(
             }
             thread.state.regs.set(*succ, Val::FAIL, View::ZERO);
             thread.state.xclb = None;
-            thread.cont.pop();
+            cont_undo.pop(&mut thread.cont);
             StepEvent::ExclFailed
         }
         _ => return Err(StepError::WrongShape),
     };
-    normalize(code, &mut thread.cont);
+    normalize(code, &mut thread.cont, cont_undo);
     Ok(event)
 }
 
@@ -1810,9 +1995,9 @@ mod tests {
 
     #[test]
     fn disabled_rmw_transition_leaves_machine_untouched() {
-        // Unlike the documented WriteNormal poisoning, a disabled RMW
-        // normal write must fail *before* touching memory or the thread:
-        // interactive steppers feed user-picked transitions to apply.
+        // A disabled RMW normal write must leave memory and the thread
+        // untouched: interactive steppers feed user-picked transitions
+        // to apply.
         let mut b = CodeBuilder::new();
         let r = b.fetch_add(Reg(1), Expr::val(0), Expr::val(1));
         let t0 = b.finish_seq(&[r]);
@@ -1836,6 +2021,52 @@ mod tests {
         assert_eq!(err, Err(StepError::NotAtomic));
         assert_eq!(m.memory().len(), before_len);
         assert_eq!(m.fingerprint(), before_fp);
+    }
+
+    #[test]
+    fn disabled_store_exclusive_leaves_machine_untouched() {
+        // A store exclusive with no paired load exclusive cannot write
+        // normally. The rule appends the write before the pairing check
+        // fails; the undo must take it and its promise back out.
+        let mut b = CodeBuilder::new();
+        let s = b.store_excl(Reg(2), Expr::val(0), Expr::val(1));
+        let t0 = b.finish_seq(&[s]);
+        let mut m = machine_of(vec![t0]);
+        let before_len = m.memory().len();
+        let before_fp = m.fingerprint();
+        let err = m.apply(&Transition::new(TId(0), TransitionKind::WriteNormal));
+        assert_eq!(err, Err(StepError::NotAtomic));
+        assert_eq!(m.memory().len(), before_len);
+        assert_eq!(m.fingerprint(), before_fp);
+    }
+
+    #[test]
+    fn undo_restores_a_continuation_past_its_inline_capacity() {
+        // `(((r1 := 1; skip); skip); skip); skip` leaves four `skip`s
+        // under the assignment: the step pops all five statements, more
+        // than the undo record keeps inline.
+        let mut b = CodeBuilder::new();
+        let mut s = b.assign(Reg(1), Expr::val(1));
+        for _ in 0..4 {
+            let k = b.skip();
+            s = b.then(s, k);
+        }
+        let m = machine_of(vec![b.finish(s)]);
+        let (mut thread, mut memory) = (m.thread(TId(0)).clone(), m.memory().clone());
+        assert_eq!(thread.cont.len(), 5);
+        let code = &m.program().threads()[0];
+        let (_, undo) = apply_step(
+            m.config(),
+            code,
+            TId(0),
+            &TransitionKind::Internal,
+            &mut thread,
+            &mut memory,
+        )
+        .unwrap();
+        assert!(thread.is_done());
+        undo.restore(&mut thread, &mut memory);
+        assert_eq!(&thread, m.thread(TId(0)));
     }
 
     #[test]

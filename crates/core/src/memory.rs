@@ -39,9 +39,10 @@ impl fmt::Display for Msg {
 /// The shared memory: the propagated-write history plus initial values.
 ///
 /// Both components are behind [`Arc`]s with copy-on-write mutation, so
-/// cloning a `Memory` — which exploration does once per visited state —
-/// is two reference-count bumps. [`Memory::push`] copies the message
-/// list only when it is shared with another state.
+/// cloning a `Memory` — which the engines do once per transition — is
+/// two reference-count bumps. [`Memory::push`] copies the message list
+/// only when it is shared with another state; the thread-local searches
+/// own their memory and undo their pushes, so theirs is copied once.
 ///
 /// A running fingerprint of the contents is maintained *incrementally*
 /// ([`Memory::push`] absorbs the new message), so folding a memory into
@@ -134,6 +135,20 @@ impl Memory {
         self.fp.write_i64(msg.val.0);
         self.fp.write_len(msg.tid.0);
         Timestamp(self.msgs.len() as u32)
+    }
+
+    /// The running digest, for [`Memory::truncate`].
+    pub(crate) fn digest(&self) -> FpHasher {
+        self.fp.clone()
+    }
+
+    /// Go back to the memory of `len` messages whose running digest was
+    /// `fp`: drop the messages above `len`. Undo records use it.
+    pub(crate) fn truncate(&mut self, len: usize, fp: FpHasher) {
+        if self.msgs.len() > len {
+            Arc::make_mut(&mut self.msgs).truncate(len);
+        }
+        self.fp = fp;
     }
 
     /// Fold the memory into a state fingerprint: O(1), via the

@@ -51,6 +51,35 @@ impl RegFile {
     pub fn iter(&self) -> impl Iterator<Item = (Reg, Val, View)> + '_ {
         self.regs.iter().map(|(&r, &(v, n))| (r, v, n))
     }
+
+    /// The explicit entry of `r`: `None` if it was never written.
+    pub(crate) fn entry(&self, r: Reg) -> RegEntry {
+        self.regs.get(&r).copied()
+    }
+
+    /// Put back an entry read by [`RegFile::entry`].
+    pub(crate) fn restore(&mut self, r: Reg, e: RegEntry) {
+        restore_entry(&mut self.regs, r, e);
+    }
+}
+
+/// A register's explicit entry, `None` if it was never written.
+pub(crate) type RegEntry = Option<(Val, View)>;
+
+/// Put back one saved map entry, removing the key if it was absent. The
+/// map is left alone, and so stays shared, when it already holds `e`.
+fn restore_entry<K: Ord + Clone, V: Copy + PartialEq>(
+    map: &mut Arc<BTreeMap<K, V>>,
+    k: K,
+    e: Option<V>,
+) {
+    if map.get(&k).copied() != e {
+        let map = Arc::make_mut(map);
+        match e {
+            Some(v) => map.insert(k, v),
+            None => map.remove(&k),
+        };
+    }
 }
 
 /// A forward-bank entry (r13): information about the thread's last
@@ -93,6 +122,32 @@ pub enum StuckReason {
     /// the executable model bounds loops, so this trace is not a complete
     /// execution and is discarded from outcome enumeration.
     LoopBoundExceeded,
+}
+
+/// The fixed-size fields of a thread state: the six scalar views, the
+/// exclusives bank, the loop fuel and the stuck flag. A step's undo
+/// record keeps a copy; the RMW rules compute the write half's pre-view
+/// on one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Scalars {
+    pub(crate) vr_old: View,
+    pub(crate) vw_old: View,
+    pub(crate) vr_new: View,
+    pub(crate) vw_new: View,
+    pub(crate) v_cap: View,
+    pub(crate) v_rel: View,
+    pub(crate) xclb: Option<ExclBank>,
+    pub(crate) fuel: u32,
+    pub(crate) stuck: Option<StuckReason>,
+}
+
+/// A thread state's entries at one location: coherence view, forward
+/// bank and private memory. A step overwrites at most these.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct LocEntries {
+    coh: Option<View>,
+    fwd: Option<Forward>,
+    local: Option<(Val, View)>,
 }
 
 /// A thread state (`ts ∈ TState`, Fig. 4).
@@ -185,6 +240,50 @@ impl ThreadState {
     /// Write to thread-private (non-shared) location `l`. Copy-on-write.
     pub fn set_local(&mut self, l: Loc, v: Val, view: View) {
         Arc::make_mut(&mut self.local).insert(l, (v, view));
+    }
+
+    /// The fixed-size fields, copied out.
+    pub(crate) fn scalars(&self) -> Scalars {
+        Scalars {
+            vr_old: self.vr_old,
+            vw_old: self.vw_old,
+            vr_new: self.vr_new,
+            vw_new: self.vw_new,
+            v_cap: self.v_cap,
+            v_rel: self.v_rel,
+            xclb: self.xclb,
+            fuel: self.fuel,
+            stuck: self.stuck,
+        }
+    }
+
+    /// Overwrite the fixed-size fields.
+    pub(crate) fn set_scalars(&mut self, s: Scalars) {
+        self.vr_old = s.vr_old;
+        self.vw_old = s.vw_old;
+        self.vr_new = s.vr_new;
+        self.vw_new = s.vw_new;
+        self.v_cap = s.v_cap;
+        self.v_rel = s.v_rel;
+        self.xclb = s.xclb;
+        self.fuel = s.fuel;
+        self.stuck = s.stuck;
+    }
+
+    /// The explicit entries at `l`, for [`ThreadState::restore_loc`].
+    pub(crate) fn loc_entries(&self, l: Loc) -> LocEntries {
+        LocEntries {
+            coh: self.coh.get(&l).copied(),
+            fwd: self.fwdb.get(&l).copied(),
+            local: self.local.get(&l).copied(),
+        }
+    }
+
+    /// Put back the entries at `l` read by [`ThreadState::loc_entries`].
+    pub(crate) fn restore_loc(&mut self, l: Loc, e: LocEntries) {
+        restore_entry(&mut self.coh, l, e.coh);
+        restore_entry(&mut self.fwdb, l, e.fwd);
+        restore_entry(&mut self.local, l, e.local);
     }
 
     /// Iterate over the thread-private memory entries.

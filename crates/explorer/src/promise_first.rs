@@ -45,6 +45,10 @@ use std::time::Instant;
 
 type RegMap = BTreeMap<Reg, promising_core::Val>;
 
+/// A thread's final register maps, shared by the memo entries and the
+/// search nodes that reach the same set.
+type RegMaps = Rc<BTreeSet<RegMap>>;
+
 /// Exact promise-mode state identity (paranoid dedup): the per-thread
 /// promise sets and the memory — the only parts that change in phase 1.
 type PromiseKey = (Vec<BTreeSet<Timestamp>>, Memory);
@@ -76,11 +80,11 @@ type Phase2Exact = (TId, ThreadInstance, Memory);
 /// (thread id, thread instance, memory). The thread id is part of the
 /// key because two threads running *different* code can still have
 /// identical dynamic instances (e.g. the two IRIW readers in their
-/// initial states). Paranoid mode stores the exact key and panics on
-/// collisions.
+/// initial states). Paranoid mode stores the exact key, boxed so the
+/// normal mode's entries stay small, and panics on collisions.
 struct Phase2Memo {
     paranoid: bool,
-    map: FpHashMap<(Option<Phase2Exact>, Rc<BTreeSet<RegMap>>)>,
+    map: FpHashMap<(Option<Box<Phase2Exact>>, RegMaps)>,
 }
 
 impl Phase2Memo {
@@ -106,9 +110,10 @@ impl Phase2Memo {
         tid: TId,
         thread: &ThreadInstance,
         memory: &Memory,
-    ) -> Option<Rc<BTreeSet<RegMap>>> {
+    ) -> Option<RegMaps> {
         let (exact, value) = self.map.get(&fp)?;
-        if let Some((etid, eth, emem)) = exact {
+        if let Some(exact) = exact {
+            let (etid, eth, emem) = &**exact;
             assert!(
                 *etid == tid && eth == thread && emem == memory,
                 "phase-2 memo fingerprint collision at {fp}"
@@ -123,9 +128,11 @@ impl Phase2Memo {
         tid: TId,
         thread: &ThreadInstance,
         memory: &Memory,
-        value: Rc<BTreeSet<RegMap>>,
+        value: RegMaps,
     ) {
-        let exact = self.paranoid.then(|| (tid, thread.clone(), memory.clone()));
+        let exact = self
+            .paranoid
+            .then(|| Box::new((tid, thread.clone(), memory.clone())));
         self.map.insert(fp, (exact, value));
     }
 }
@@ -224,7 +231,7 @@ impl SearchModel for PromiseFirstModel {
                 &mut local_phase2
             }
         };
-        let mut per_thread: Vec<Rc<BTreeSet<RegMap>>> = Vec::with_capacity(m.num_threads());
+        let mut per_thread: Vec<RegMaps> = Vec::with_capacity(m.num_threads());
         let mut all_complete = true;
         let mut cut = false;
         for tid in (0..m.num_threads()).map(TId) {
@@ -364,10 +371,10 @@ fn thread_outcomes(
     stats: &mut Stats,
     deadline: Option<Instant>,
     cut: &mut bool,
-) -> Rc<BTreeSet<RegMap>> {
+) -> RegMaps {
     let code = &m.program().threads()[tid.0];
+    let mut thread = m.thread(tid).clone();
     let mut memory = m.memory().clone();
-    let mem_len = memory.len();
     let mut dfs = ThreadDfs {
         m,
         tid,
@@ -378,13 +385,21 @@ fn thread_outcomes(
         deadline,
         cut: false,
         ticks: 0,
+        empty: Rc::default(),
+        steps: Vec::new(),
     };
-    let result = dfs.run(m.thread(tid), &mut memory);
+    let result = dfs.run(&mut thread, &mut memory, 0);
     *cut |= dfs.cut;
-    debug_assert_eq!(memory.len(), mem_len, "phase 2 must not append writes");
+    debug_assert_eq!(
+        memory.len(),
+        m.memory().len(),
+        "phase 2 must not append writes"
+    );
     result
 }
 
+/// One phase-2 query: a search over the steps of one owned copy of the
+/// thread, stepped in place and undone on backtrack.
 struct ThreadDfs<'a> {
     m: &'a Machine,
     tid: TId,
@@ -395,6 +410,10 @@ struct ThreadDfs<'a> {
     deadline: Option<Instant>,
     cut: bool,
     ticks: u64,
+    /// The one empty set every dead end shares.
+    empty: RegMaps,
+    /// `enabled_steps` buffers, one per distance from the query's root.
+    steps: Vec<Vec<TransitionKind>>,
 }
 
 impl ThreadDfs<'_> {
@@ -416,23 +435,31 @@ impl ThreadDfs<'_> {
         false
     }
 
-    fn run(&mut self, thread: &ThreadInstance, memory: &mut Memory) -> Rc<BTreeSet<RegMap>> {
+    /// The final register maps reachable from `thread`, which is handed
+    /// back as it came; `level` is the distance from the query's root.
+    fn run(&mut self, thread: &mut ThreadInstance, memory: &mut Memory, level: usize) -> RegMaps {
         let fp = Phase2Memo::key(self.tid, thread, self.mem_fp);
         if let Some(hit) = self.memo.get(fp, self.tid, thread, memory) {
             return hit;
         }
         if self.out_of_time() {
-            return Rc::new(BTreeSet::new());
+            return Rc::clone(&self.empty);
         }
-        let mut out = BTreeSet::new();
+        let mut out = Rc::clone(&self.empty);
         if thread.is_done() {
             if !thread.state.has_promises() && thread.state.stuck.is_none() {
-                out.insert(observable_regs(thread));
+                out = Rc::new(BTreeSet::from([observable_regs(thread)]));
             }
         } else if thread.state.stuck.is_some() {
             self.stats.bound_hits += 1;
         } else {
-            for kind in enabled_steps(self.m.config(), self.code, self.tid, thread, memory) {
+            if self.steps.len() <= level {
+                self.steps.resize_with(level + 1, Vec::new);
+            }
+            let mut steps = std::mem::take(&mut self.steps[level]);
+            let config = self.m.config();
+            enabled_steps(config, self.code, self.tid, thread, memory, &mut steps);
+            for kind in &steps {
                 if kind.appends_write() {
                     continue; // non-promise mode: no new writes (stores
                               // and RMWs may only fulfil promises)
@@ -440,22 +467,26 @@ impl ThreadDfs<'_> {
                 if self.cut {
                     break;
                 }
-                let mut th = thread.clone();
-                apply_step(self.m.config(), self.code, self.tid, &kind, &mut th, memory)
+                let (_, undo) = apply_step(config, self.code, self.tid, kind, thread, memory)
                     .expect("enabled step applies");
                 self.stats.transitions += 1;
-                let sub = self.run(&th, memory);
-                out.extend(sub.iter().cloned());
+                let sub = self.run(thread, memory, level + 1);
+                undo.restore(thread, memory);
+                if out.is_empty() {
+                    out = sub;
+                } else if !sub.is_subset(&out) {
+                    Rc::make_mut(&mut out).extend(sub.iter().cloned());
+                }
             }
+            self.steps[level] = steps;
         }
-        let rc = Rc::new(out);
         if !self.cut {
             // deadline-truncated sets are partial; memoising them would
             // poison later queries
             self.memo
-                .insert(fp, self.tid, thread, memory, Rc::clone(&rc));
+                .insert(fp, self.tid, thread, memory, Rc::clone(&out));
         }
-        rc
+        out
     }
 }
 

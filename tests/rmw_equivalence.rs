@@ -4,7 +4,10 @@
 //! promise-first, and Flat-lite strategies and both architectures —
 //! property-tested over ops, ordering strengths, surrounding code, and
 //! seeds. A second property checks the RMW semantics directly against
-//! the axiomatic model (the Theorem 6.1 analogue for RMW events).
+//! the axiomatic model (the Theorem 6.1 analogue for RMW events). A third
+//! checks, on the same random programs and on the litmus catalogue, that
+//! every step undoes exactly: the thread-local searches step one thread
+//! and memory in place and rely on it.
 //!
 //! [`Stmt::Rmw`]: promising_core::Stmt::Rmw
 //! [`desugar_program_rmws`]: promising_core::stmt::desugar_program_rmws
@@ -12,11 +15,16 @@
 use promising_axiomatic::{enumerate_outcomes, AxConfig};
 use promising_core::stmt::{desugar_program_rmws, CodeBuilder, RmwOp};
 use promising_core::{
-    Arch, Config, Expr, Machine, Program, ReadKind, Reg, StmtId, ThreadCode, WriteKind,
+    apply_step, enabled_steps, Arch, Config, Expr, Fingerprint, FpHasher, Loc, Machine, Memory,
+    Msg, Program, ReadKind, Reg, StepEvent, Stmt, StmtId, TId, ThreadCode, ThreadInstance,
+    Timestamp, TransitionKind, Val, WriteKind,
 };
 use promising_explorer::{explore_naive, explore_promise_first, CertMode};
 use promising_flat::{explore_flat, FlatMachine};
+use promising_litmus::catalogue;
 use proptest::prelude::*;
+use proptest::TestRng;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Loop fuel for the promising-side comparisons. The desugared retry
@@ -566,4 +574,255 @@ fn battery_contains_rmws() {
         }
     }
     assert!(seen >= 25, "only {seen}/50 sampled programs contain an RMW");
+}
+
+/// What the step/undo round trips applied, to check they cover every
+/// rule the undo record must put back.
+#[derive(Default)]
+struct Coverage(BTreeSet<&'static str>);
+
+impl Coverage {
+    fn note(&mut self, head: Option<&Stmt>, kind: &TransitionKind, event: &StepEvent) {
+        let what = match (event, head) {
+            (StepEvent::DidRmw { .. }, Some(Stmt::Rmw { op: RmwOp::Cas, .. })) => "cas success",
+            (StepEvent::DidRmw { .. }, Some(Stmt::Rmw { op: RmwOp::Swp, .. })) => "swap",
+            (
+                StepEvent::DidRmw { .. },
+                Some(Stmt::Rmw {
+                    op: RmwOp::FetchAdd,
+                    ..
+                }),
+            ) => "fetch-add",
+            (StepEvent::DidRmw { .. }, _) => "other rmw",
+            (StepEvent::DidRead { .. }, Some(Stmt::Rmw { .. })) => "cas failure",
+            (
+                StepEvent::DidRead { .. },
+                Some(Stmt::Load {
+                    exclusive: true, ..
+                }),
+            ) => "load exclusive",
+            (
+                StepEvent::DidWrite { .. },
+                Some(Stmt::Store {
+                    exclusive: true, ..
+                }),
+            ) => "store exclusive",
+            (StepEvent::ExclFailed, _) => "exclusive failure",
+            (StepEvent::LoopBoundHit, _) => "loop fuel exhausted",
+            (StepEvent::LocalRead(..) | StepEvent::LocalWrite(..), _) => "non-shared location",
+            (StepEvent::Promised(..), _) => "promise",
+            _ => "other",
+        };
+        self.0.insert(what);
+        if matches!(
+            kind,
+            TransitionKind::Fulfil { .. } | TransitionKind::Rmw { tw: Some(_), .. }
+        ) {
+            self.0.insert("fulfil");
+        }
+    }
+}
+
+fn state_fingerprint(thread: &ThreadInstance, memory: &Memory) -> Fingerprint {
+    let mut h = FpHasher::new();
+    thread.feed(&mut h);
+    memory.feed(&mut h);
+    h.finish128()
+}
+
+/// The transitions tried on `thread`: every enabled step, then a handful
+/// of disabled ones (reads, fulfils and RMWs at timestamps that may not
+/// fit, the other step shapes) and two promises, one foreign.
+fn candidates(
+    tid: TId,
+    thread: &ThreadInstance,
+    memory: &Memory,
+    enabled: &[TransitionKind],
+) -> Vec<TransitionKind> {
+    let len = memory.len() as u32;
+    let stamps: BTreeSet<Timestamp> = [0, 1, len, len + 1].into_iter().map(Timestamp).collect();
+    let mut out = enabled.to_vec();
+    out.extend([
+        TransitionKind::Internal,
+        TransitionKind::WriteNormal,
+        TransitionKind::ExclFail,
+    ]);
+    for &t in &stamps {
+        out.push(TransitionKind::Read { t });
+        out.push(TransitionKind::Fulfil { t });
+        out.push(TransitionKind::Rmw { tr: t, tw: None });
+        for &p in &thread.state.prom {
+            out.push(TransitionKind::Rmw { tr: t, tw: Some(p) });
+        }
+    }
+    for owner in [tid, TId(tid.0 + 1)] {
+        out.push(TransitionKind::Promise {
+            msg: Msg::new(Loc(0), Val(1), owner),
+        });
+    }
+    out
+}
+
+/// Apply every candidate to `thread` and `memory` in place and undo it;
+/// each must come back exactly: same `Debug` rendering (which copies
+/// nothing, unlike a snapshot clone, so the in-place path keeps its
+/// uniquely owned maps) and same fingerprint, including memory's running
+/// digest. Enabled steps must apply, and `depth` more levels of them are
+/// tried underneath before the undo.
+fn round_trip(
+    config: &Config,
+    code: &ThreadCode,
+    tid: TId,
+    thread: &mut ThreadInstance,
+    memory: &mut Memory,
+    depth: u32,
+    cov: &mut Coverage,
+) {
+    let before = (
+        format!("{thread:?}"),
+        format!("{memory:?}"),
+        state_fingerprint(thread, memory),
+    );
+    let mut enabled = Vec::new();
+    enabled_steps(config, code, tid, thread, memory, &mut enabled);
+    for kind in candidates(tid, thread, memory, &enabled) {
+        let head = thread.cont.last().map(|&s| code.stmt(s).clone());
+        match apply_step(config, code, tid, &kind, thread, memory) {
+            Ok((event, undo)) => {
+                cov.note(head.as_ref(), &kind, &event);
+                if depth > 0 && enabled.contains(&kind) {
+                    round_trip(config, code, tid, thread, memory, depth - 1, cov);
+                }
+                undo.restore(thread, memory);
+            }
+            Err(e) => {
+                assert!(!enabled.contains(&kind), "enabled step {kind} failed: {e}");
+                cov.0.insert("rejected");
+            }
+        }
+        let after = (
+            format!("{thread:?}"),
+            format!("{memory:?}"),
+            state_fingerprint(thread, memory),
+        );
+        assert_eq!(after, before, "{kind} did not undo exactly");
+    }
+}
+
+/// Walk `m` at random through its machine steps (promises included, so
+/// later states have promises to fulfil). At every state, round-trip
+/// every thread on copies of its own thread and memory, two levels deep,
+/// and check the copies end `==` to the machine's.
+fn walk_round_trips(mut m: Machine, rng: &mut TestRng, len: usize, cov: &mut Coverage) {
+    for _ in 0..len {
+        let program = Arc::clone(m.program());
+        for tid in (0..m.num_threads()).map(TId) {
+            let code = &program.threads()[tid.0];
+            let (mut thread, mut memory) = (m.thread(tid).clone(), m.memory().clone());
+            round_trip(m.config(), code, tid, &mut thread, &mut memory, 2, cov);
+            assert_eq!(&thread, m.thread(tid));
+            assert_eq!(&memory, m.memory());
+            assert_eq!(
+                state_fingerprint(&thread, &memory),
+                state_fingerprint(m.thread(tid), m.memory())
+            );
+        }
+        let steps = m.machine_steps();
+        if steps.is_empty() {
+            break;
+        }
+        let pick = &steps[rng.below(steps.len() as u64) as usize];
+        m.apply(pick).expect("machine step applies");
+    }
+}
+
+/// A round-trip configuration: loop fuel 1, so spins run out within a
+/// short walk; with `private`, only location 0 is shared, so accesses to
+/// the others take the non-shared rules.
+fn round_trip_config(arch: Arch, private: bool) -> Config {
+    let config = Config::for_arch(arch).with_loop_fuel(1);
+    if private {
+        config.with_shared_locs([Loc(0)])
+    } else {
+        config
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Every step of random RMW programs, and of their exclusive-pair
+    /// desugarings (retry loops), undoes exactly.
+    #[test]
+    fn step_undo_round_trips_on_random_programs(
+        recipes in program_strategy(),
+        riscv in any::<bool>(),
+        private in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let arch = if riscv { Arch::RiscV } else { Arch::Arm };
+        let program = to_program(&recipes);
+        let desugared = Arc::new(desugar_program_rmws(&program));
+        let mut rng = TestRng::new(seed);
+        let mut cov = Coverage::default();
+        for p in [program, desugared] {
+            let m = Machine::new(p, round_trip_config(arch, private));
+            walk_round_trips(m, &mut rng, 12, &mut cov);
+        }
+    }
+
+    /// The same on the RMW-heavy `rmw; po; ld*` programs.
+    #[test]
+    fn step_undo_round_trips_on_rmw_heavy_programs(
+        recipes in rmw_heavy_program_strategy(),
+        riscv in any::<bool>(),
+        private in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let arch = if riscv { Arch::RiscV } else { Arch::Arm };
+        let m = Machine::new(to_program(&recipes), round_trip_config(arch, private));
+        walk_round_trips(m, &mut TestRng::new(seed), 12, &mut Coverage::default());
+    }
+}
+
+/// Every step of every litmus catalogue test, and of the retry loops its
+/// RMWs desugar to, undoes exactly, along one random walk per program and
+/// sharing mode; the walks reach every rule the undo record must put back.
+#[test]
+fn step_undo_round_trips_on_the_catalogue() {
+    let mut rng = TestRng::new(proptest::seed_for("step_undo_round_trips_on_the_catalogue"));
+    let mut cov = Coverage::default();
+    for test in catalogue() {
+        let desugared = Arc::new(desugar_program_rmws(&test.program));
+        let retry_loops = desugared.threads().iter().any(|code| code.has_loop());
+        let programs =
+            std::iter::once(test.program.clone()).chain(retry_loops.then_some(desugared));
+        for program in programs {
+            for private in [false, true] {
+                let config = round_trip_config(test.arch, private);
+                let m = Machine::with_init(Arc::clone(&program), config, test.init.clone());
+                walk_round_trips(m, &mut rng, 16, &mut cov);
+            }
+        }
+    }
+    for rule in [
+        "cas success",
+        "cas failure",
+        "swap",
+        "fetch-add",
+        "load exclusive",
+        "store exclusive",
+        "exclusive failure",
+        "fulfil",
+        "promise",
+        "loop fuel exhausted",
+        "non-shared location",
+        "rejected",
+    ] {
+        assert!(
+            cov.0.contains(rule),
+            "no round trip covered {rule}: {:?}",
+            cov.0
+        );
+    }
 }
