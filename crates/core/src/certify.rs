@@ -35,13 +35,12 @@
 
 use crate::config::Config;
 use crate::fingerprint::{Fingerprint, FpHashMap, FpHasher};
-use crate::footprint::LocSet;
 use crate::ids::{Loc, TId, Timestamp, Val};
 use crate::machine::{
     apply_step, enabled_steps, Machine, StepEvent, ThreadInstance, TransitionKind,
 };
 use crate::memory::{Memory, Msg};
-use crate::stmt::ThreadCode;
+use crate::stmt::{LocSet, ThreadCode};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::Instant;
@@ -125,12 +124,13 @@ struct MemoEntry {
 /// A certification memo table, shareable across [`find_and_certify_with`]
 /// calls (and across exploration branches within one worker).
 ///
-/// Entries are keyed by a fingerprint of the sub-problem identity — see
-/// [`ExactKey`] for the two key families (full and restricted-memory) —
-/// so a single table is sound for any sequence of queries against
-/// machines running the same program and configuration. The table counts
-/// its hits, misses, and *survived* hits (restricted-key hits from a
-/// different full-memory context than the entry was computed in).
+/// Entries are keyed by a fingerprint of the sub-problem identity, in one
+/// of two key families (full and restricted-memory, as the private
+/// `ExactKey` spells out), so a single table is sound for any sequence of
+/// queries against machines running the same program and configuration.
+/// The table counts its hits, misses, and *survived* hits
+/// (restricted-key hits from a different full-memory context than the
+/// entry was computed in).
 #[derive(Default)]
 pub struct CertMemo {
     paranoid: bool,

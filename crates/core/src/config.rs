@@ -84,8 +84,9 @@ pub struct Config {
     /// appends to different locations, and certification memo keys are
     /// restricted to the certifying thread's access scope. Off is the
     /// unreduced reference: no `reduce`, raw flat states, full
-    /// certification keys. Outcome sets are identical either way. See
-    /// [`crate::footprint`].
+    /// certification keys. Outcome sets are identical either way. The
+    /// reductions read the per-statement [`crate::stmt::MayAccess`]
+    /// sets.
     pub por: bool,
 }
 

@@ -18,10 +18,11 @@
 use crate::config::{Arch, Config};
 use crate::expr::Expr;
 use crate::fingerprint::{Fingerprint, FpHasher};
-use crate::footprint::{Footprint, LocSet};
 use crate::ids::{Loc, Reg, TId, Timestamp, Val, View};
 use crate::memory::{Memory, Msg};
-use crate::stmt::{MayAccess, Program, ReadKind, RmwOp, Stmt, StmtId, ThreadCode, WriteKind};
+use crate::stmt::{
+    LocSet, MayAccess, Program, ReadKind, RmwOp, Stmt, StmtId, ThreadCode, WriteKind,
+};
 use crate::thread::{ExclBank, Forward, LocEntries, RegEntry, Scalars, StuckReason, ThreadState};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -328,6 +329,11 @@ pub enum StepError {
     NotAtomic,
     /// A promise names a different thread.
     ForeignPromise,
+    /// The transition is a thread step but not a machine step: its
+    /// post-state is not certified (r24), or it is a promise
+    /// certification cannot justify. [`Machine::apply`] never returns
+    /// this; checked stepping such as the explorer's `Session` does.
+    NotCertified,
 }
 
 impl fmt::Display for StepError {
@@ -342,6 +348,7 @@ impl fmt::Display for StepError {
             StepError::TooLate => "store pre-view/coherence is not below the timestamp",
             StepError::NotAtomic => "store exclusive is unpaired or not atomic",
             StepError::ForeignPromise => "promise names a different thread",
+            StepError::NotCertified => "step is not certified (not a machine step)",
         };
         f.write_str(msg)
     }
@@ -529,90 +536,9 @@ impl Machine {
         out
     }
 
-    /// The [`Footprint`] of an enabled transition: acting thread, the
-    /// shared locations it touches, and the append/certification-coupling
-    /// flags. Computed from the transition kind plus the acting thread's
-    /// head statement (the `enabled_steps`/`apply_step` shapes), without
-    /// applying anything. Conservative: a transition whose shape cannot
-    /// be classified gets [`Footprint::opaque`].
-    pub fn transition_footprint(&self, tr: &Transition) -> Footprint {
-        let tid = tr.tid.0;
-        let promising = self.threads[tid].state.has_promises();
-        // any step of a promising thread is certification-filtered (r24),
-        // so its enabledness is coupled to memory — but only through the
-        // locations the certifying continuation can ever access: an
-        // append outside that scope lands above every view and every
-        // in-scope message, so no certification verdict changes
-        let couple = |fp: Footprint| {
-            if promising {
-                fp.with_promise()
-                    .with_cert_scope(self.thread_cert_scope(tr.tid))
-            } else {
-                fp
-            }
-        };
-        let head_loc = |stmt_addr: Option<&Expr>| {
-            stmt_addr.map(|addr| eval_addr(addr, &self.threads[tid].state).0)
-        };
-        match &tr.kind {
-            TransitionKind::Promise { msg } => Footprint::write(tid, msg.loc, true).with_promise(),
-            TransitionKind::Internal => match self.head(tr.tid) {
-                Some((_, Stmt::Fence(_))) => couple(Footprint::local(tid).with_fence()),
-                _ => couple(Footprint::local(tid)),
-            },
-            TransitionKind::ExclFail => couple(Footprint::local(tid)),
-            TransitionKind::Read { .. } => {
-                let addr = match self.head(tr.tid) {
-                    Some((_, Stmt::Load { addr, .. })) | Some((_, Stmt::Rmw { addr, .. })) => {
-                        Some(addr)
-                    }
-                    _ => None,
-                };
-                match head_loc(addr) {
-                    Some(loc) => couple(Footprint::read(tid, loc)),
-                    None => Footprint::opaque(),
-                }
-            }
-            TransitionKind::Fulfil { .. } => {
-                // fulfilment is memory-silent: the message has been in
-                // memory (and readable by everyone) since promise time,
-                // and only the acting thread's state changes — so no
-                // write-set entry. The thread is promising by definition,
-                // hence certification-coupled (within its access scope).
-                Footprint::local(tid)
-                    .with_promise()
-                    .with_cert_scope(self.thread_cert_scope(tr.tid))
-            }
-            TransitionKind::WriteNormal => {
-                let addr = match self.head(tr.tid) {
-                    Some((_, Stmt::Store { addr, .. })) => Some(addr),
-                    _ => None,
-                };
-                match head_loc(addr) {
-                    Some(loc) => couple(Footprint::write(tid, loc, true)),
-                    None => Footprint::opaque(),
-                }
-            }
-            TransitionKind::Rmw { tw, .. } => {
-                let addr = match self.head(tr.tid) {
-                    Some((_, Stmt::Rmw { addr, .. })) => Some(addr),
-                    _ => None,
-                };
-                match head_loc(addr) {
-                    Some(loc) => {
-                        let mut fp = Footprint::write(tid, loc, tw.is_none());
-                        fp.reads.insert(loc);
-                        couple(fp)
-                    }
-                    None => Footprint::opaque(),
-                }
-            }
-        }
-    }
-
     /// Whether thread `tid`'s *remaining* code can never write a shared
     /// location (checked against the precomputed per-statement
-    /// [`crate::stmt::MayWrite`] sets of its continuation). Such a
+    /// [`MayAccess`] may-write sets of its continuation). Such a
     /// thread is a *pure observer*: every step it will ever take is
     /// thread-local or a read — it can never append to memory, promise,
     /// or influence any other thread. The partial-order reduction
@@ -656,27 +582,18 @@ impl Machine {
 
     /// The *certification scope* of thread `tid`: the set of locations a
     /// certification run of the thread could ever touch — the union of
-    /// the may-read and may-write sets of its remaining continuation
+    /// [`Machine::thread_may_reads`] and [`Machine::thread_may_writes`]
     /// (certification reads at may-read locations, appends and checks
     /// interposition at may-write ones). `None` when any remaining
-    /// access has a dynamic address ([`MayAccess::Any`]): unknown scope,
-    /// couple with every append.
+    /// access has a dynamic address ([`MayAccess::Any`]): the scope is
+    /// unknown, and certification memo keys cover the whole memory.
     pub fn thread_cert_scope(&self, tid: TId) -> Option<LocSet> {
-        let code = &self.program.threads()[tid.0];
-        let mut scope = LocSet::new();
-        for &id in self.threads[tid.0].cont.iter() {
-            for may in [code.may_read(id), code.may_write(id)] {
-                match may {
-                    MayAccess::Any => return None,
-                    MayAccess::Locs(locs) => {
-                        for &l in locs {
-                            scope.insert(l);
-                        }
-                    }
-                }
-            }
+        let mut scope = self.thread_may_reads(tid);
+        scope.absorb(&self.thread_may_writes(tid));
+        match scope {
+            MayAccess::Any => None,
+            MayAccess::Locs(locs) => Some(locs),
         }
-        Some(scope)
     }
 
     /// The exact dynamic state (continuations, thread states, memory) as
@@ -2084,5 +2001,63 @@ mod tests {
             .unwrap();
         assert_eq!(m.thread(TId(0)).state.regs.value(Reg(1)), Val(9));
         assert!(m.memory().is_empty());
+    }
+
+    #[test]
+    fn may_access_sets_straddle_the_bitmask_boundary() {
+        // r1 = load(r0); store(63, 1); r2 = load(64); store(200, 2);
+        // r3 = load(3): a dynamic address first, then constant ones on
+        // both sides of the 64-location bitmask boundary.
+        let locs = |ls: &[u64]| MayAccess::Locs(ls.iter().map(|&l| Loc(l)).collect());
+        let mut b = CodeBuilder::new();
+        let dynamic = b.load(Reg(1), Expr::reg(Reg(0)));
+        let low_store = b.store(Expr::val(63), Expr::val(1));
+        let spill_load = b.load(Reg(2), Expr::val(64));
+        let spill_store = b.store(Expr::val(200), Expr::val(2));
+        let low_load = b.load(Reg(3), Expr::val(3));
+        let code = b.finish_seq(&[dynamic, low_store, spill_load, spill_store, low_load]);
+
+        // per-statement tables, and their unions at the entry
+        assert_eq!(*code.may_read(dynamic), MayAccess::Any);
+        assert_eq!(*code.may_write(dynamic), MayAccess::none());
+        assert_eq!(*code.may_write(low_store), locs(&[63]));
+        assert_eq!(*code.may_read(spill_load), locs(&[64]));
+        assert_eq!(*code.may_write(spill_store), locs(&[200]));
+        assert_eq!(*code.may_read(low_load), locs(&[3]));
+        assert_eq!(*code.may_read(code.entry()), MayAccess::Any);
+        assert_eq!(*code.may_write(code.entry()), locs(&[63, 200]));
+
+        // intersection, with and without `Any`
+        let writes = code.may_write(code.entry());
+        assert!(!writes.intersects(&locs(&[3, 64])));
+        assert!(writes.intersects(&locs(&[64, 200])));
+        assert!(writes.intersects(&MayAccess::Any) && MayAccess::Any.intersects(writes));
+        assert!(!MayAccess::Any.intersects(&MayAccess::none()));
+        assert!(MayAccess::Any.intersects(&MayAccess::Any));
+
+        // union across the boundary, then absorbed by `Any`
+        let mut acc = writes.clone();
+        acc.absorb(code.may_read(spill_load));
+        acc.absorb(code.may_read(low_load));
+        assert_eq!(acc, locs(&[3, 63, 64, 200]));
+        acc.absorb(&MayAccess::Any);
+        assert_eq!(acc, MayAccess::Any);
+        acc.absorb(&locs(&[5]));
+        assert_eq!(acc, MayAccess::Any);
+
+        // the certification scope is unknown while the dynamic load
+        // remains, and the union of the constant locations after it ran
+        let mut m = Machine::new(Arc::new(Program::new(vec![code])), Config::arm());
+        assert_eq!(m.thread_may_reads(TId(0)), MayAccess::Any);
+        assert_eq!(m.thread_cert_scope(TId(0)), None);
+        m.apply(&Transition::new(
+            TId(0),
+            TransitionKind::Read { t: Timestamp::ZERO },
+        ))
+        .unwrap();
+        assert_eq!(m.thread_may_reads(TId(0)), locs(&[3, 64]));
+        assert_eq!(m.thread_may_writes(TId(0)), locs(&[63, 200]));
+        let scope: LocSet = [Loc(3), Loc(63), Loc(64), Loc(200)].into_iter().collect();
+        assert_eq!(m.thread_cert_scope(TId(0)), Some(scope));
     }
 }

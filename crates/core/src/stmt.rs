@@ -7,7 +7,6 @@
 use crate::config::SharedLocs;
 use crate::expr::{Expr, Op};
 use crate::ids::{Loc, Reg, Val};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Read kinds (`rk ∈ RK`, Fig. 1), ordered `Plain ⊑ WeakAcquire ⊑ Acquire`.
@@ -287,31 +286,134 @@ pub enum Stmt {
     },
 }
 
+/// A small set of locations, bitmask-backed: locations `0..64` live in
+/// one machine word (membership, union and intersection are on the hot
+/// paths of the partial-order reductions and the certification memo
+/// keys), anything above spills into a side vector. Litmus tests and the
+/// workload suites use a handful of locations; the spill path is the
+/// conservative fallback for programs with more than 64.
+///
+/// The spill vector is kept **sorted**, so the derived `PartialEq`/`Eq`
+/// are set-semantic: two sets holding the same locations compare equal
+/// regardless of insertion order. (An insertion-ordered spill would make
+/// equality order-sensitive exactly for programs with more than 64
+/// locations — the real-code workloads of the closure harness.)
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct LocSet {
+    bits: u64,
+    spill: Vec<Loc>,
+}
+
+/// Width of the bitmask fast path: locations `0..SPILL_AT` are bits,
+/// the rest spill.
+const SPILL_AT: u64 = 64;
+
+impl LocSet {
+    /// The empty set.
+    pub fn new() -> LocSet {
+        LocSet::default()
+    }
+
+    /// A singleton set.
+    pub fn of(loc: Loc) -> LocSet {
+        let mut s = LocSet::new();
+        s.insert(loc);
+        s
+    }
+
+    /// Add a location.
+    pub fn insert(&mut self, loc: Loc) {
+        if loc.0 < SPILL_AT {
+            self.bits |= 1 << loc.0;
+        } else if let Err(at) = self.spill.binary_search(&loc) {
+            self.spill.insert(at, loc);
+        }
+    }
+
+    /// Add every location of `other`.
+    pub fn absorb(&mut self, other: &LocSet) {
+        self.bits |= other.bits;
+        for &loc in &other.spill {
+            self.insert(loc);
+        }
+    }
+
+    /// Whether `loc` is in the set.
+    pub fn contains(&self, loc: Loc) -> bool {
+        if loc.0 < SPILL_AT {
+            self.bits & (1 << loc.0) != 0
+        } else {
+            self.spill.binary_search(&loc).is_ok()
+        }
+    }
+
+    /// Whether the sets share a location.
+    pub fn intersects(&self, other: &LocSet) -> bool {
+        self.bits & other.bits != 0 || self.spill.iter().any(|l| other.spill.contains(l))
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.bits == 0 && self.spill.is_empty()
+    }
+
+    /// The number of locations in the set.
+    pub fn len(&self) -> usize {
+        self.bits.count_ones() as usize + self.spill.len()
+    }
+
+    /// Iterate over the locations in ascending order (bitmask part
+    /// first, then the sorted spill).
+    pub fn iter(&self) -> impl Iterator<Item = Loc> + '_ {
+        let mut bits = self.bits;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as u64;
+            bits &= bits - 1;
+            Some(Loc(i))
+        })
+        .chain(self.spill.iter().copied())
+    }
+}
+
+impl FromIterator<Loc> for LocSet {
+    fn from_iter<I: IntoIterator<Item = Loc>>(iter: I) -> LocSet {
+        let mut s = LocSet::new();
+        for loc in iter {
+            s.insert(loc);
+        }
+        s
+    }
+}
+
 /// An over-approximation of the locations a statement subtree may access
 /// (its *may-read* or *may-write* set), precomputed per arena node when a
-/// [`ThreadCode`] is finished. Used by the partial-order reduction to
-/// decide whether a thread's remaining continuation can ever write (or
-/// read) a location — an access whose address expression is not a
-/// constant may touch [`MayAccess::Any`] location.
+/// [`ThreadCode`] is finished. The partial-order reductions read these
+/// sets to decide whether a thread's remaining continuation can ever
+/// write (or read) a location, and certification unions them into the
+/// certifying thread's scope — an access whose address expression is not
+/// a constant may touch [`MayAccess::Any`] location.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum MayAccess {
     /// Some access's address is dynamic: any location may be touched.
     Any,
     /// Only the listed locations may be touched (possibly none).
-    Locs(BTreeSet<Loc>),
+    Locs(LocSet),
 }
 
 impl MayAccess {
     /// The empty set.
     pub fn none() -> MayAccess {
-        MayAccess::Locs(BTreeSet::new())
+        MayAccess::Locs(LocSet::new())
     }
 
     /// Whether `loc` may be touched.
     pub fn contains(&self, loc: Loc) -> bool {
         match self {
             MayAccess::Any => true,
-            MayAccess::Locs(s) => s.contains(&loc),
+            MayAccess::Locs(s) => s.contains(loc),
         }
     }
 
@@ -327,15 +429,15 @@ impl MayAccess {
     pub fn any_shared(&self, shared: &SharedLocs) -> bool {
         match self {
             MayAccess::Any => true,
-            MayAccess::Locs(s) => s.iter().any(|&l| shared.is_shared(l)),
+            MayAccess::Locs(s) => s.iter().any(|l| shared.is_shared(l)),
         }
     }
 
     /// Whether the sets may share a location.
     pub fn intersects(&self, other: &MayAccess) -> bool {
         match (self, other) {
-            (MayAccess::Any, o) | (o, MayAccess::Any) => o != &MayAccess::none(),
-            (MayAccess::Locs(a), MayAccess::Locs(b)) => a.iter().any(|l| b.contains(l)),
+            (MayAccess::Any, o) | (o, MayAccess::Any) => !o.is_empty(),
+            (MayAccess::Locs(a), MayAccess::Locs(b)) => a.intersects(b),
         }
     }
 
@@ -344,14 +446,14 @@ impl MayAccess {
         match (&mut *self, other) {
             (MayAccess::Any, _) => {}
             (_, MayAccess::Any) => *self = MayAccess::Any,
-            (MayAccess::Locs(a), MayAccess::Locs(b)) => a.extend(b.iter().copied()),
+            (MayAccess::Locs(a), MayAccess::Locs(b)) => a.absorb(b),
         }
     }
 
     /// The set a single address expression may denote.
     pub fn of_addr(addr: &Expr) -> MayAccess {
         match addr {
-            Expr::Const(v) => MayAccess::Locs(BTreeSet::from([Loc::from(*v)])),
+            Expr::Const(v) => MayAccess::Locs(LocSet::of(Loc::from(*v))),
             _ => MayAccess::Any,
         }
     }
@@ -1183,5 +1285,103 @@ mod tests {
             }
             other => panic!("expected Seq, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn locset_basics() {
+        let mut s = LocSet::of(Loc(1));
+        s.insert(Loc(2));
+        s.insert(Loc(1));
+        assert!(s.contains(Loc(1)) && s.contains(Loc(2)) && !s.contains(Loc(3)));
+        assert!(s.intersects(&LocSet::of(Loc(2))));
+        assert!(!s.intersects(&LocSet::of(Loc(3))));
+        assert_eq!(s.iter().count(), 2);
+    }
+
+    #[test]
+    fn locset_spill_boundary() {
+        // Loc(63) is the last bitmask slot, Loc(64) the first spilled
+        // one: membership, intersection, iteration, and idempotent
+        // insertion must behave identically across the boundary.
+        let mut s = LocSet::of(Loc(63));
+        s.insert(Loc(64));
+        s.insert(Loc(64));
+        s.insert(Loc(1000));
+        assert!(s.contains(Loc(63)) && s.contains(Loc(64)) && s.contains(Loc(1000)));
+        assert!(!s.contains(Loc(62)) && !s.contains(Loc(65)));
+        assert_eq!(s.len(), 3);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![Loc(63), Loc(64), Loc(1000)]
+        );
+        // intersection across the representations
+        assert!(s.intersects(&LocSet::of(Loc(64))));
+        assert!(s.intersects(&LocSet::of(Loc(63))));
+        assert!(!s.intersects(&LocSet::of(Loc(65))));
+        assert!(!LocSet::of(Loc(64)).intersects(&LocSet::of(Loc(65))));
+        assert!(LocSet::of(Loc(1000)).intersects(&s));
+        assert!(!s.is_empty() && LocSet::new().is_empty());
+    }
+
+    #[test]
+    fn locset_spill_equality_is_insertion_order_independent() {
+        // regression: with an insertion-ordered spill vector the derived
+        // PartialEq compared [Loc(70), Loc(80)] ≠ [Loc(80), Loc(70)]
+        let mut a = LocSet::new();
+        a.insert(Loc(70));
+        a.insert(Loc(80));
+        let mut b = LocSet::new();
+        b.insert(Loc(80));
+        b.insert(Loc(70));
+        assert_eq!(a, b);
+        // and across the bitmask boundary, mixed with duplicates
+        let fwd: LocSet = [Loc(3), Loc(64), Loc(200), Loc(100)].into_iter().collect();
+        let rev: LocSet = [Loc(100), Loc(200), Loc(200), Loc(64), Loc(3)]
+            .into_iter()
+            .collect();
+        assert_eq!(fwd, rev);
+        assert_ne!(fwd, LocSet::of(Loc(3)));
+        // iteration is ascending regardless of insertion order
+        assert_eq!(
+            rev.iter().collect::<Vec<_>>(),
+            vec![Loc(3), Loc(64), Loc(100), Loc(200)]
+        );
+    }
+
+    #[test]
+    fn locset_spill_equality_proptest_over_many_locations() {
+        use proptest::{collection, Strategy, TestRng};
+        // >64 locations so the spill path is exercised: insert a random
+        // multiset in two different orders (forward and a deterministic
+        // shuffle) and require set-semantic equality plus membership and
+        // intersection agreement with a BTreeSet reference model.
+        let mut rng = TestRng::new(0xF00D_F00D);
+        let strat = collection::vec(0u64..160, 65..140);
+        for _ in 0..64 {
+            let locs: Vec<u64> = strat.sample(&mut rng);
+            let fwd: LocSet = locs.iter().map(|&l| Loc(l)).collect();
+            let mut shuffled = locs.clone();
+            // Fisher–Yates with the proptest rng
+            for i in (1..shuffled.len()).rev() {
+                let j = rng.below(i as u64 + 1) as usize;
+                shuffled.swap(i, j);
+            }
+            let bwd: LocSet = shuffled.iter().map(|&l| Loc(l)).collect();
+            assert_eq!(fwd, bwd, "insertion order leaked into equality");
+            let reference: std::collections::BTreeSet<u64> = locs.iter().copied().collect();
+            for l in 0..170 {
+                assert_eq!(fwd.contains(Loc(l)), reference.contains(&l));
+            }
+            assert_eq!(fwd.len(), reference.len());
+            assert!(fwd.iter().map(|l| l.0).eq(reference.iter().copied()));
+            assert!(fwd.intersects(&bwd) || reference.is_empty());
+        }
+    }
+
+    #[test]
+    fn locset_from_iter() {
+        let s: LocSet = [Loc(2), Loc(70), Loc(2)].into_iter().collect();
+        assert_eq!(s.iter().count(), 2);
+        assert!(s.contains(Loc(2)) && s.contains(Loc(70)));
     }
 }

@@ -294,22 +294,20 @@ pub trait SearchModel: Sync {
     /// transitions on `stats`).
     fn apply(&self, s: &Self::State, t: &Self::Transition, stats: &mut Stats) -> Self::State;
 
-    /// The partial-order-reduction [`Footprint`] of `t` at `s`: acting
-    /// agent, locations touched, append/certification flags. The default
-    /// is [`Footprint::opaque`] — dependent with everything — so a model
-    /// that does not override it claims no independent pairs. The engine
-    /// prunes only through [`reduce`](SearchModel::reduce).
+    /// No engine code calls this hook: every reduction goes through
+    /// [`reduce`](SearchModel::reduce). It returns the fieldless
+    /// [`Footprint`] marker and remains only because the benchmark
+    /// package's `Timed` decorator still delegates it; it goes once that
+    /// delegation does.
     fn footprint(&self, _s: &Self::State, _t: &Self::Transition) -> Footprint {
-        Footprint::opaque()
+        Footprint
     }
 
-    /// Whether `a` and `b` are *independent* at `s`: wherever both are
-    /// enabled they commute to the same state and neither enables or
-    /// disables the other. The default derives the answer from the
-    /// transitions' [`footprint`](SearchModel::footprint)s; `false`
-    /// makes no claim (the relation is conservative).
-    fn independent(&self, s: &Self::State, a: &Self::Transition, b: &Self::Transition) -> bool {
-        self.footprint(s, a).independent_with(&self.footprint(s, b))
+    /// No engine code calls this hook either, and it remains for the
+    /// same reason as [`footprint`](SearchModel::footprint). `false`
+    /// makes no claim.
+    fn independent(&self, _s: &Self::State, _a: &Self::Transition, _b: &Self::Transition) -> bool {
+        false
     }
 
     /// Partial-order reduction: shrink the expansion of `s` to a

@@ -3,7 +3,7 @@
 //! §7/§8 as a library API (and a CLI in `examples/interactive_debug.rs`).
 
 use promising_core::ids::TId;
-use promising_core::{find_and_certify, Machine, StepEvent, Transition, TransitionKind};
+use promising_core::{find_and_certify, Machine, StepError, StepEvent, Transition, TransitionKind};
 use std::fmt::Write as _;
 
 /// One recorded step of the session's trace.
@@ -56,15 +56,22 @@ impl Session {
         self.machine.machine_steps()
     }
 
-    /// Take a transition, recording it in the trace.
+    /// Take a transition, recording it in the trace. Only the
+    /// [`enabled`](Session::enabled) machine steps are accepted.
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`promising_core::StepError`] if the
-    /// transition is not enabled.
-    pub fn step(&mut self, tr: &Transition) -> Result<StepEvent, promising_core::StepError> {
-        let snapshot = self.machine.clone();
-        let event = self.machine.apply(tr)?;
+    /// Returns the [`Machine::apply`] error if the transition is not a
+    /// thread step at all, and [`StepError::NotCertified`] if it is one
+    /// but certification rules it out. The session is unchanged either
+    /// way.
+    pub fn step(&mut self, tr: &Transition) -> Result<StepEvent, StepError> {
+        let mut next = self.machine.clone();
+        let event = next.apply(tr)?;
+        if !self.enabled().contains(tr) {
+            return Err(StepError::NotCertified);
+        }
+        let snapshot = std::mem::replace(&mut self.machine, next);
         self.history.push((
             snapshot,
             TraceEntry {
@@ -149,7 +156,9 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use promising_core::{CodeBuilder, Config, Expr, Program, Reg, Timestamp, Val};
+    use promising_core::{
+        parse_program, CodeBuilder, Config, Expr, Msg, Program, Reg, Timestamp, Val,
+    };
     use std::sync::Arc;
 
     fn mp_session() -> Session {
@@ -209,6 +218,30 @@ mod tests {
         assert_eq!(s.machine().thread(TId(1)).state.regs.value(Reg(2)), Val(0));
         // trace remembers all five steps
         assert_eq!(s.depth(), 5);
+    }
+
+    #[test]
+    fn step_rejects_an_uncertifiable_promise() {
+        // r1 = load(x); store(y, r1): the store depends on the load, so
+        // y = 1 is a thread step (`apply` takes it) but no certified
+        // promise — taking it would leave the thread unable to fulfil.
+        let (program, locs) = parse_program("r1 = load(x)\nstore(y, r1)").unwrap();
+        let y = locs.get("y").unwrap();
+        let mut s = Session::new(Machine::new(Arc::new(program), Config::arm()));
+        let promise = Transition::new(
+            TId(0),
+            TransitionKind::Promise {
+                msg: Msg::new(y, Val(1), TId(0)),
+            },
+        );
+        assert!(!s.enabled().contains(&promise));
+        assert!(s.machine().clone().apply(&promise).is_ok());
+        assert_eq!(s.step(&promise).unwrap_err(), StepError::NotCertified);
+        assert_eq!(s.depth(), 0);
+        assert!(s.certified(TId(0)) && !s.dead_end());
+        // a transition that is not even a thread step keeps its own error
+        let wrong = Transition::new(TId(0), TransitionKind::WriteNormal);
+        assert_eq!(s.step(&wrong).unwrap_err(), StepError::WrongShape);
     }
 
     #[test]

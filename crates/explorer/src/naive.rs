@@ -18,8 +18,8 @@ use crate::stats::{Stats, StopReason};
 use promising_core::ids::TId;
 use promising_core::Outcome;
 use promising_core::{
-    find_and_certify_with, find_promises_with, CertMemo, Config, Fingerprint, Footprint, Machine,
-    MayAccess, StateKey, Transition, TransitionKind,
+    find_and_certify_with, find_promises_with, CertMemo, Config, Fingerprint, Machine, MayAccess,
+    StateKey, Transition, TransitionKind,
 };
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -160,10 +160,6 @@ impl SearchModel for NaiveModel {
         next
     }
 
-    fn footprint(&self, s: &Machine, t: &Transition) -> Footprint {
-        s.transition_footprint(t)
-    }
-
     fn reduce(&self, m: &Machine, transitions: &mut Vec<Transition>) {
         reduce_delayable_threads(m, transitions);
     }
@@ -201,8 +197,8 @@ impl SearchModel for NaiveModel {
 /// nothing others can see, so it is independent — in both directions —
 /// of every transition any other thread will ever take.
 ///
-/// Case 2 is where per-location footprints earn their keep: a thread
-/// that appends can be delayed when nobody will ever observe its
+/// Case 2 is where the per-location may-access sets earn their keep: a
+/// thread that appends can be delayed when nobody will ever observe its
 /// locations. This is *not* state-identical commutation: appends order
 /// themselves in memory's single total order, so running the kept
 /// thread first and `q` later produces a memory whose messages sit at

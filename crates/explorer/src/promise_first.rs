@@ -28,6 +28,13 @@
 //! could never hit and a shared table would only grow without bound.
 //! `Config::workers > 1` explores the promise frontier in parallel with
 //! identical outcome sets.
+//!
+//! The model keeps the default no-op [`SearchModel::reduce`]. Phase-1
+//! transitions are all promises, appends to memory's single total order,
+//! and phase 2 runs each thread alone against a fixed memory, so no
+//! cross-thread interleaving is left to prune: promise-first is itself
+//! the ordering reduction of Theorem 7.1. `Config::por` still restricts
+//! its certification memo keys.
 
 use crate::engine::{Engine, Exploration, SearchBudget, SearchModel};
 use crate::stats::{Stats, StopReason};
@@ -36,8 +43,8 @@ use promising_core::stmt::SCRATCH_REG_BASE;
 use promising_core::Outcome;
 use promising_core::Transition;
 use promising_core::{
-    apply_step, enabled_steps, find_promises_with, CertMemo, Config, Fingerprint, Footprint,
-    FpHashMap, FpHasher, Machine, Memory, Reg, ThreadInstance, Timestamp, TransitionKind,
+    apply_step, enabled_steps, find_promises_with, CertMemo, Config, Fingerprint, FpHashMap,
+    FpHasher, Machine, Memory, Reg, ThreadInstance, Timestamp, TransitionKind,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -319,19 +326,6 @@ impl SearchModel for PromiseFirstModel {
         next.apply(tr).expect("certified promise applies");
         stats.transitions += 1;
         next
-    }
-
-    /// POR metadata. Promise-mode transitions are all promises — appends
-    /// to memory's total order, pairwise dependent — so the footprint
-    /// marks them append+promise and the engine's reduction pass (the
-    /// default [`SearchModel::reduce`], a no-op) never prunes phase 1.
-    /// Phase 2 needs no reduction either: each thread runs alone against
-    /// a fixed memory, so there is no cross-thread interleaving left to
-    /// reduce — the promise-first strategy *is* already the aggressive
-    /// ordering reduction (Theorem 7.1), which is why the Table-2 heavy
-    /// rows run it rather than the POR-reduced naive search.
-    fn footprint(&self, s: &Machine, t: &Transition) -> Footprint {
-        s.transition_footprint(t)
     }
 }
 

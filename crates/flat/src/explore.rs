@@ -106,9 +106,9 @@ impl SearchModel for FlatModel {
     }
 
     /// The flat [`Config::por`] reduction: frozen reads first, else the
-    /// delayable-thread collapse. The model keeps the trait's
-    /// conservative `footprint`/`independent` defaults, because the
-    /// engine prunes only through `reduce`.
+    /// delayable-thread collapse. Both read the flat machine's future
+    /// may-read and may-write sets ([`FlatMachine::thread_future_reads`],
+    /// [`FlatMachine::thread_future_writes`]).
     fn reduce(&self, m: &FlatMachine, transitions: &mut Vec<FlatTransition>) {
         if !reduce_flat_frozen_reads(m, transitions) {
             reduce_flat_delayable(m, transitions);
@@ -171,10 +171,10 @@ fn reduce_flat_frozen_reads(m: &FlatMachine, transitions: &mut Vec<FlatTransitio
         return false;
     }
     let mut writes: Vec<Option<MayAccess>> = vec![None; n];
-    let mut writes_of = |r: usize| -> MayAccess {
+    let mut may_write = |r: usize, loc| {
         writes[r]
             .get_or_insert_with(|| m.thread_future_writes(TId(r)))
-            .clone()
+            .contains(loc)
     };
     let mut has = vec![false; n];
     let mut eligible = vec![true; n];
@@ -184,10 +184,7 @@ fn reduce_flat_frozen_reads(m: &FlatMachine, transitions: &mut Vec<FlatTransitio
         eligible[q] &= match *t {
             FlatTransition::FetchBranch { .. } => true,
             FlatTransition::Satisfy { tid, idx } => match m.access_target(tid, idx) {
-                Some(loc) => {
-                    let l = MayAccess::Locs(BTreeSet::from([loc]));
-                    (0..n).all(|r| r == q || !writes_of(r).intersects(&l))
-                }
+                Some(loc) => (0..n).all(|r| r == q || !may_write(r, loc)),
                 None => false,
             },
             // anything that may touch memory (or, for `FailStx`, races

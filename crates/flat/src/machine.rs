@@ -37,9 +37,9 @@ use promising_core::fingerprint::{Fingerprint, FpHasher, WordSink};
 use promising_core::ids::{Loc, Reg, TId, Timestamp, Val};
 use promising_core::memory::{Memory, Msg};
 use promising_core::stmt::{
-    MayAccess, Program, ReadKind, RmwOp, Stmt, StmtId, WriteKind, SCRATCH_REG_BASE,
+    LocSet, MayAccess, Program, ReadKind, RmwOp, Stmt, StmtId, WriteKind, SCRATCH_REG_BASE,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -264,8 +264,8 @@ impl FlatMachine {
     /// On top of the timestamp renaming, each thread's maximal fully
     /// *bound* instance prefix is collapsed to what the thread's future
     /// can still observe of it. Every nondeterministic-transition guard
-    /// ([`FlatMachine::load_source`], [`FlatMachine::store_ready`],
-    /// [`FlatMachine::rmw_ready`]) passes bound instances through with
+    /// (`load_source`, `store_ready`, `rmw_bind_ready`,
+    /// `rmw_propagate_ready`) passes bound instances through with
     /// no effect (a bound store is `Propagated`/`Failed`, so it is never
     /// a forwarding source and satisfies every `need_done` arm; bound
     /// loads/RMWs/fences pass every `is_bound` arm; bound addresses
@@ -278,7 +278,7 @@ impl FlatMachine {
     ///   keep explicit zero entries (`outcome` reports a register iff
     ///   some instance wrote it); scratch registers drop value-0 entries
     ///   (`reg_value` falls back to 0 and `outcome` ignores them);
-    /// * **the exclusive-pairing bank** — [`FlatMachine::stx_pairing`]
+    /// * **the exclusive-pairing bank** — `stx_pairing`
     ///   walks back to the first exclusive-relevant instance; once that
     ///   walk enters a bound prefix its answer is frozen (every arm is
     ///   final on bound instances), so the prefix collapses to that one
@@ -1500,7 +1500,7 @@ impl FlatMachine {
             };
             if relevant {
                 match self.addr_of(tid, idx) {
-                    Some(loc) => out.absorb(&MayAccess::Locs(BTreeSet::from([loc]))),
+                    Some(loc) => out.absorb(&MayAccess::Locs(LocSet::of(loc))),
                     None => out = MayAccess::Any,
                 }
             }

@@ -4,8 +4,8 @@
 //! A program is a parallel composition of threads; a thread is a
 //! statement list. Accesses carry a C11 [`Ordering`] instead of the
 //! hardware acquire/release strengths — the two compilation schemes
-//! ([`crate::compile`]) lower orderings to per-architecture instruction
-//! sequences following the IMM mappings.
+//! ([`compile`](mod@crate::compile)) lower orderings to per-architecture
+//! instruction sequences following the IMM mappings.
 
 use promising_core::{Expr, Reg, RmwOp};
 use std::fmt;

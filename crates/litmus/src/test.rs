@@ -163,7 +163,7 @@ pub struct LangTest {
 
 impl LangTest {
     /// Lower to a hardware litmus test for `arch`
-    /// ([`promising_lang::compile`]). The result keeps the name, carries
+    /// ([`promising_lang::compile()`]). The result keeps the name, carries
     /// a backlink to `self`, and is never Flat-conservative (compiled
     /// programs use single-instruction RMWs, not raw exclusives).
     ///

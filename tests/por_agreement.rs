@@ -1,27 +1,21 @@
 //! Validation of the search reductions ([`Config::por`]): with them on
 //! or off, every exploration strategy must produce *identical* outcome
-//! sets — across the named litmus catalogue, the systematically
+//! sets, and the reduced search must never visit more states than the
+//! unreduced one — across the named litmus catalogue, the systematically
 //! generated suites (shapes × orderings × RMW links), the compiled
 //! language corpus on both architectures, and random programs
 //! (property-tested). POR off is the unreduced reference: no `reduce`,
 //! raw flat states, full certification keys. Anti-rot tests check that
 //! the reductions actually fire (observer collapse, delayable-thread
-//! collapse, flat state merging, surviving certificates). The building
-//! blocks are validated directly too: every transition pair the
-//! `SearchModel::independent` hook claims independent must actually
-//! commute, state-for-state, with enabledness preserved in both
-//! directions, and memoised certification with restricted keys must
-//! agree answer-for-answer with fresh certification under POR off.
-//! `tests/dpor_agreement.rs` sweeps further selections of the same
-//! suites with POR on and off.
+//! collapse, flat state merging, surviving certificates), and memoised
+//! certification with restricted keys must agree answer-for-answer with
+//! fresh certification under POR off. `tests/dpor_agreement.rs` sweeps
+//! further selections of the same suites with POR on and off.
 //!
 //! [`Config::por`]: promising_core::Config
 
 use promising_core::ids::TId;
-use promising_core::{
-    find_and_certify, find_and_certify_with, Arch, CertMemo, Config, Machine, Transition,
-    TransitionKind,
-};
+use promising_core::{find_and_certify, find_and_certify_with, Arch, CertMemo, Config, Machine};
 use promising_explorer::{explore_naive, CertMode, Engine, NaiveModel, SearchModel, Stats};
 use promising_flat::{explore_flat, FlatMachine};
 use promising_litmus::{
@@ -42,19 +36,34 @@ const MODELS: [ModelKind; 3] = [
     ModelKind::Promising,
 ];
 
+/// Run `test` under `kind` with POR on and off: the outcome sets must be
+/// equal and POR on must visit no more states. `Err` names the mismatch.
+fn check_por_agreement(test: &LitmusTest, kind: ModelKind) -> Result<(), String> {
+    let on = run_model_with(test, kind, |c| c.with_por(true)).expect("POR-on run");
+    let off = run_model_with(test, kind, |c| c.with_por(false)).expect("POR-off run");
+    if on.outcomes != off.outcomes {
+        return Err(format!(
+            "{test}: {} POR-on and POR-off outcome sets differ",
+            kind.name()
+        ));
+    }
+    if on.states > off.states {
+        return Err(format!(
+            "{test}: {} POR on visits more states than off ({} vs {})",
+            kind.name(),
+            on.states,
+            off.states
+        ));
+    }
+    Ok(())
+}
+
 fn assert_por_agreement(test: &LitmusTest) {
     for kind in MODELS {
         if test.flat_conservative && kind == ModelKind::Flat {
             continue;
         }
-        let on = run_model_with(test, kind, |c| c.with_por(true)).expect("POR-on run");
-        let off = run_model_with(test, kind, |c| c.with_por(false)).expect("POR-off run");
-        assert_eq!(
-            on.outcomes,
-            off.outcomes,
-            "{test}: {} POR-on and POR-off outcome sets differ",
-            kind.name()
-        );
+        check_por_agreement(test, kind).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -212,7 +221,7 @@ fn por_actually_prunes_append_bound_shapes() {
     );
 
     // Naive: the delayable-thread reduce must fire (all threads have
-    // pairwise-disjoint future footprints here) and shrink the search.
+    // pairwise-disjoint future may-access sets here) and shrink the search.
     let n_on = explore_naive(
         &Machine::new(program.clone(), Config::arm()),
         CertMode::Online,
@@ -306,70 +315,6 @@ fn sampling_with_por_is_sound_and_deterministic() {
     }
 }
 
-/// Walk a machine along a seeded random path, and at every state check
-/// that each transition pair the model claims independent really
-/// commutes: applying them in either order reaches the same fingerprint,
-/// and each stays applicable after the other.
-fn check_independence_commutation(test: &LitmusTest, seed: u64) {
-    let config = Config::for_arch(test.arch).with_loop_fuel(test.loop_fuel.unwrap_or(DEFAULT_FUEL));
-    let m = Machine::with_init(test.program.clone(), config, test.init.clone());
-    let model = NaiveModel::new(&m, CertMode::Online);
-    let mut stats = Stats::default();
-    let mut cache = model.cache();
-    let mut rng = proptest::TestRng::new(seed);
-    let mut state = model.root(&mut stats);
-    for _step in 0..12 {
-        if model.is_final(&state, &mut stats) {
-            break;
-        }
-        let transitions = model.expand(&state, &mut cache, &mut stats, None);
-        if transitions.is_empty() {
-            break;
-        }
-        // check up to 24 independent pairs at this state
-        let mut checked = 0;
-        'outer: for (i, a) in transitions.iter().enumerate() {
-            for b in transitions.iter().skip(i + 1) {
-                if !model.independent(&state, a, b) {
-                    continue;
-                }
-                assert!(
-                    model.independent(&state, b, a),
-                    "{test}: independence is not symmetric for {a} / {b}"
-                );
-                let sa = model.apply(&state, a, &mut stats);
-                let sb = model.apply(&state, b, &mut stats);
-                assert!(
-                    applicable(&sa, b),
-                    "{test}: {b} disabled by supposedly independent {a}"
-                );
-                assert!(
-                    applicable(&sb, a),
-                    "{test}: {a} disabled by supposedly independent {b}"
-                );
-                let sab = model.apply(&sa, b, &mut stats);
-                let sba = model.apply(&sb, a, &mut stats);
-                assert_eq!(
-                    model.fingerprint(&sab),
-                    model.fingerprint(&sba),
-                    "{test}: independent pair {a} / {b} does not commute"
-                );
-                checked += 1;
-                if checked >= 24 {
-                    break 'outer;
-                }
-            }
-        }
-        let next = &transitions[(rng.below(transitions.len() as u64)) as usize];
-        state = model.apply(&state, next, &mut stats);
-    }
-}
-
-/// Whether `tr` applies cleanly in (a clone of) `m`.
-fn applicable(m: &Machine, tr: &Transition) -> bool {
-    m.clone().apply(tr).is_ok()
-}
-
 /// Walk a machine along a seeded random path with a certification memo
 /// shared across the whole walk (so restricted-key entries persist
 /// across sibling appends), and at every state check that the memoised
@@ -424,20 +369,6 @@ fn check_memo_agrees_with_fresh(test: &LitmusTest, seed: u64) {
     assert!(hits + misses > 0, "{test}: the memo was never consulted");
 }
 
-#[test]
-fn independent_transitions_commute_on_observer_shapes() {
-    // Deterministic check on the shapes with the most cross-thread
-    // independence (multi-observer reads).
-    for test in catalogue() {
-        if !test.name.starts_with("IRIW") && !test.name.starts_with("MP") {
-            continue;
-        }
-        for seed in [1, 2] {
-            check_independence_commutation(&test, seed);
-        }
-    }
-}
-
 // ---- property tests ---------------------------------------------------
 
 /// A strategy choosing random generated litmus tests on a random
@@ -459,31 +390,17 @@ fn generated_test_strategy() -> impl Strategy<Value = LitmusTest> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// POR-on ≡ POR-off on random generated programs, for the reduced
-    /// strategies.
+    /// POR-on ≡ POR-off, with POR on visiting no more states, on random
+    /// generated programs, for the two strategies with non-trivial
+    /// reduce hooks.
     #[test]
     fn por_on_off_agree_on_random_programs(test in generated_test_strategy()) {
         for kind in [ModelKind::PromisingNaive, ModelKind::Flat] {
             if test.flat_conservative && kind == ModelKind::Flat {
                 continue;
             }
-            let on = run_model_with(&test, kind, |c| c.with_por(true)).expect("on");
-            let off = run_model_with(&test, kind, |c| c.with_por(false)).expect("off");
-            prop_assert_eq!(
-                &on.outcomes, &off.outcomes,
-                "{}: {} POR mismatch", test.name, kind.name()
-            );
+            prop_assert_eq!(check_por_agreement(&test, kind), Ok(()));
         }
-    }
-
-    /// Claimed-independent transition pairs commute on random programs
-    /// and random paths.
-    #[test]
-    fn independent_pairs_commute_on_random_programs(
-        test in generated_test_strategy(),
-        seed in 1..u64::MAX,
-    ) {
-        check_independence_commutation(&test, seed);
     }
 
     /// Random sampling runs stay subsets of exhaustive with POR enabled,
@@ -550,63 +467,4 @@ fn observer_collapse_never_starves_outcomes() {
         .collect();
     assert_eq!(readings.len(), 8, "some observer reading was starved");
     assert!(on.stats.por_pruned > 0);
-}
-
-#[test]
-fn footprints_classify_the_transition_zoo() {
-    // Spot-check `Machine::transition_footprint` against a machine with
-    // a promise outstanding: promises append and are cert-coupled,
-    // fulfils are memory-silent but cert-coupled, reads of promising
-    // threads are cert-coupled, reads of clean threads are not.
-    use promising_core::memory::Msg;
-    use promising_core::{CodeBuilder, Expr, Loc, Program, Reg, Val};
-    use std::sync::Arc;
-    let mut b = CodeBuilder::new();
-    let s = b.store(Expr::val(0), Expr::val(1));
-    let t0 = b.finish_seq(&[s]);
-    let mut b = CodeBuilder::new();
-    let l = b.load(Reg(1), Expr::val(0));
-    let t1 = b.finish_seq(&[l]);
-    let mut m = Machine::new(Arc::new(Program::new(vec![t0, t1])), Config::arm());
-    m.apply(&Transition::new(
-        TId(0),
-        TransitionKind::Promise {
-            msg: Msg::new(Loc(0), Val(1), TId(0)),
-        },
-    ))
-    .unwrap();
-
-    let promise = m.transition_footprint(&Transition::new(
-        TId(0),
-        TransitionKind::Promise {
-            msg: Msg::new(Loc(0), Val(1), TId(0)),
-        },
-    ));
-    assert!(promise.appends.contains(Loc(0)) && promise.promise);
-    assert_eq!(promise.agent, Some(0));
-
-    let fulfil = m.transition_footprint(&Transition::new(
-        TId(0),
-        TransitionKind::Fulfil {
-            t: promising_core::Timestamp(1),
-        },
-    ));
-    // memory-silent: the message has been visible since promise time
-    assert!(fulfil.appends.is_empty() && fulfil.promise);
-    assert!(fulfil.writes.is_empty() && fulfil.reads.is_empty());
-
-    let read = m.transition_footprint(&Transition::new(
-        TId(1),
-        TransitionKind::Read {
-            t: promising_core::Timestamp(0),
-        },
-    ));
-    assert!(read.appends.is_empty() && !read.promise);
-    assert!(read.reads.contains(Loc(0)));
-
-    // a clean observer's read is independent of the promising thread's
-    // fulfil, but not of its promise (a same-location append)
-    assert!(read.independent_with(&fulfil));
-    assert!(!read.independent_with(&promise));
-    assert!(!fulfil.independent_with(&promise));
 }
