@@ -26,7 +26,7 @@ type RegMap = BTreeMap<Reg, Val>;
 /// The seed's `find_and_certify`: the messages `tid` can promise, from a
 /// bounded search of its own steps with a per-call memo keyed by exact
 /// `(thread, memory)` clones.
-fn legacy_promisable(m: &Machine, tid: TId) -> BTreeSet<Msg> {
+pub fn legacy_promisable(m: &Machine, tid: TId) -> BTreeSet<Msg> {
     let mut engine = LegacyCertEngine {
         m,
         code: &m.program().threads()[tid.0],

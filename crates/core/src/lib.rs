@@ -64,7 +64,7 @@ pub mod stmt;
 pub mod thread;
 
 pub use certify::{
-    find_and_certify, find_and_certify_with, find_promises_with, is_certified, CertMemo, CertResult,
+    find_and_certify, find_and_certify_with, find_promises_with, CertMemo, CertResult,
 };
 pub use config::{Arch, Config, SharedLocs};
 pub use expr::{Expr, Op};
@@ -74,8 +74,8 @@ pub use fingerprint::{
 pub use ids::{Loc, Reg, TId, Timestamp, Val, View};
 pub use lex::{LocTable, Tokens};
 pub use machine::{
-    apply_step, enabled_steps, Cont, Machine, StateKey, StepError, StepEvent, ThreadInstance,
-    Transition, TransitionKind, Undo,
+    apply_step, enabled_steps, has_dead_promise, Cont, Machine, StateKey, StepError, StepEvent,
+    ThreadInstance, Transition, TransitionKind, Undo,
 };
 pub use memory::{Memory, Msg};
 pub use outcome::Outcome;

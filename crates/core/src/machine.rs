@@ -515,21 +515,29 @@ impl Machine {
     /// `find_and_certify`, Thm 6.4).
     ///
     /// Threads with an empty promise set are trivially certified after any
-    /// non-promise step, so only promising threads pay for certification.
+    /// non-promise step, so only promising threads pay for certification;
+    /// the others only enumerate their promises.
     pub fn machine_steps(&self) -> Vec<Transition> {
         let mut out = Vec::new();
         for tid in (0..self.threads.len()).map(TId) {
-            let cert = crate::certify::find_and_certify(self, tid);
-            if self.threads[tid.0].state.has_promises() {
-                for k in cert.certified_first_steps {
-                    out.push(Transition::new(tid, k));
-                }
+            let promisable = if self.threads[tid.0].state.has_promises() {
+                let cert = crate::certify::find_and_certify(self, tid);
+                out.extend(
+                    cert.certified_first_steps
+                        .into_iter()
+                        .map(|k| Transition::new(tid, k)),
+                );
+                cert.promisable
             } else {
-                for k in self.thread_steps(tid) {
-                    out.push(Transition::new(tid, k));
-                }
-            }
-            for msg in cert.promisable {
+                out.extend(
+                    self.thread_steps(tid)
+                        .into_iter()
+                        .map(|k| Transition::new(tid, k)),
+                );
+                let mut memo = crate::certify::CertMemo::for_config(&self.config);
+                crate::certify::find_promises_with(self, tid, &mut memo, None).0
+            };
+            for msg in promisable {
                 out.push(Transition::new(tid, TransitionKind::Promise { msg }));
             }
         }
@@ -825,6 +833,27 @@ fn apply_write_effects(
         st.xclb = None;
     }
     Ok(v_pre)
+}
+
+/// Whether some outstanding promise of `state` can no longer be
+/// fulfilled: its timestamp `t` is at or below `vwNew ⊔ vCAP`, or at or
+/// below `coh(M(t).loc)`.
+///
+/// Fulfilling `t`, by a `Store` or an `Rmw { tw: Some(t) }`, needs
+/// `νpre ⊔ coh(loc) < t` (the `TooLate` check of `apply_write_effects`),
+/// and every store's `νpre` contains `vwNew ⊔ vCAP`. Thread-local steps
+/// only join into `vwNew`, `vCAP` and `coh`, and a promise leaves `prom`
+/// only when it is fulfilled, so no run of the thread that makes no new
+/// promise ever reaches a promise-free state from here. Certification
+/// and promise-first phase 2 stop at such a state.
+pub fn has_dead_promise(state: &ThreadState, memory: &Memory) -> bool {
+    let floor = state.vw_new.join(state.v_cap).timestamp();
+    state.prom.iter().any(|&t| {
+        t <= floor
+            || memory
+                .get(t)
+                .is_some_and(|m| t <= state.coh(m.loc).timestamp())
+    })
 }
 
 /// Classify and enumerate the enabled thread-local steps of one thread

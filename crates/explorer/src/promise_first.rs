@@ -43,8 +43,8 @@ use promising_core::stmt::SCRATCH_REG_BASE;
 use promising_core::Outcome;
 use promising_core::Transition;
 use promising_core::{
-    apply_step, enabled_steps, find_promises_with, CertMemo, Config, Fingerprint, FpHashMap,
-    FpHasher, Machine, Memory, Reg, ThreadInstance, Timestamp, TransitionKind,
+    apply_step, enabled_steps, find_promises_with, has_dead_promise, CertMemo, Config, Fingerprint,
+    FpHashMap, FpHasher, Machine, Memory, Reg, ThreadInstance, Timestamp, TransitionKind,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -431,7 +431,12 @@ impl ThreadDfs<'_> {
 
     /// The final register maps reachable from `thread`, which is handed
     /// back as it came; `level` is the distance from the query's root.
+    /// A thread holding a dead promise ([`has_dead_promise`]) can never
+    /// finish promise-free, so it reaches none, and the search stops there.
     fn run(&mut self, thread: &mut ThreadInstance, memory: &mut Memory, level: usize) -> RegMaps {
+        if has_dead_promise(&thread.state, memory) {
+            return Rc::clone(&self.empty);
+        }
         let fp = Phase2Memo::key(self.tid, thread, self.mem_fp);
         if let Some(hit) = self.memo.get(fp, self.tid, thread, memory) {
             return hit;
@@ -498,7 +503,7 @@ fn observable_regs(thread: &ThreadInstance) -> RegMap {
 mod tests {
     use super::*;
     use crate::naive::{explore_naive, CertMode};
-    use promising_core::{CodeBuilder, Expr, Program, Val};
+    use promising_core::{CodeBuilder, Expr, Loc, Msg, Program, Val};
     use std::sync::Arc;
 
     fn check_agrees_with_naive(program: Arc<Program>, config: Config) {
@@ -679,6 +684,48 @@ mod tests {
             reuse_out, fresh_out,
             "deadline-truncated phase-2 entries leaked into a complete query"
         );
+    }
+
+    #[test]
+    fn phase2_stops_at_a_dead_promise() {
+        // T0 = r1 = load_acq(z); r2 = load(w); r3 = load(w); store(x, 1)
+        // runs against a memory where it promised x = 1 @1 and T1
+        // promised z @2 and w @3, @4, @5. Reading z @2 with acquire lifts
+        // vwNew to 2, so x @1 can no longer be fulfilled and phase 2
+        // stops there instead of running both loads of w.
+        let (x, z, w) = (Loc(0), Loc(1), Loc(2));
+        let addr = |l: Loc| Expr::val(l.0 as i64);
+        let mut b = CodeBuilder::new();
+        let stmts = [
+            b.load_acq(Reg(1), addr(z)),
+            b.load(Reg(2), addr(w)),
+            b.load(Reg(3), addr(w)),
+            b.store(addr(x), Expr::val(1)),
+        ];
+        let t0 = b.finish_seq(&stmts);
+        let mut b = CodeBuilder::new();
+        let stmts = [
+            b.store(addr(z), Expr::val(1)),
+            b.store(addr(w), Expr::val(1)),
+            b.store(addr(w), Expr::val(2)),
+            b.store(addr(w), Expr::val(3)),
+        ];
+        let t1 = b.finish_seq(&stmts);
+        let mut m = Machine::new(Arc::new(Program::new(vec![t0, t1])), Config::arm());
+        for (tid, loc, val) in [(0, x, 1), (1, z, 1), (1, w, 1), (1, w, 2), (1, w, 3)] {
+            let msg = Msg::new(loc, Val(val), TId(tid));
+            m.apply(&Transition::new(TId(tid), TransitionKind::Promise { msg }))
+                .unwrap();
+        }
+        let model = PromiseFirstModel::new(&m);
+        let mut out = BTreeSet::new();
+        let mut stats = crate::stats::Stats::default();
+        model.outcome(&m, &mut model.cache(), &mut stats, None, &mut out);
+        assert_eq!(stats.final_memories, 1);
+        assert!(out.iter().all(|o| o.reg(0, Reg(1)) == Val(0)));
+        // Without the cut, phase 2 takes 44 transitions here: the 14
+        // below the acquire read of z @2 are gone.
+        assert_eq!(stats.transitions, 30);
     }
 
     #[test]

@@ -76,13 +76,18 @@ pub struct Stats {
     /// Distinct states visited (after deduplication). In sampling runs,
     /// total walk steps (walks do not deduplicate).
     pub states: u64,
-    /// Transitions applied (including revisits).
+    /// Transitions applied (including revisits). Promise-first also
+    /// counts its phase-2 steps, but none below a dead promise
+    /// ([`promising_core::has_dead_promise`]): phase 2 stops there.
     pub transitions: u64,
     /// `find_and_certify` invocations.
     pub certifications: u64,
     /// Number of final memories enumerated (promise-first only).
     pub final_memories: u64,
-    /// Traces that hit the loop bound (incomplete, discarded).
+    /// Traces that hit the loop bound (incomplete, discarded). Phase 2
+    /// of promise-first stops a trace at a dead promise
+    /// ([`promising_core::has_dead_promise`]), so it never counts one
+    /// that would have hit the bound after that.
     pub bound_hits: u64,
     /// States with unfulfilled promises and no enabled transition (the ARM
     /// store-exclusive deadlocks of §4.3).

@@ -20,14 +20,19 @@
 //! * **Serial vs parallel** — per strategy (naive, promise-first,
 //!   Flat-lite), exploring with multiple workers must produce exactly
 //!   the serial outcome set.
+//! * **Per-state promisable sets** — along capped walks of every
+//!   catalogue test on both architectures and a stride of the generated
+//!   suites, certification's promisable set must equal the seed's
+//!   reference, which has no dead-promise cut, at every state.
 
-use promising_core::{Config, Machine};
+use promising_core::{find_promises_with, Arch, CertMemo, Config, Machine, TId};
 use promising_explorer::{
     explore_naive, explore_naive_budget, explore_promise_first, explore_promise_first_budget,
     CertMode, Engine, NaiveModel, PromiseFirstModel, SearchBudget,
 };
 use promising_flat::{explore_flat, explore_flat_budget, FlatMachine, FlatModel};
-use promising_litmus::{catalogue, LitmusTest, DEFAULT_FUEL};
+use promising_litmus::{catalogue, generate_subsample, LitmusTest, DEFAULT_FUEL};
+use std::collections::{HashSet, VecDeque};
 
 fn config_for(test: &LitmusTest) -> Config {
     Config::for_arch(test.arch).with_loop_fuel(test.loop_fuel.unwrap_or(DEFAULT_FUEL))
@@ -312,6 +317,63 @@ fn engine_reproduces_legacy_promise_first_on_catalogue() {
             engine.stats.final_memories, legacy.stats.final_memories,
             "{test}: engine vs legacy final-memory counts differ"
         );
+    }
+}
+
+/// Breadth-first over the machine steps of `test` under `arch`'s rules,
+/// up to `cap` states: at every visited state, every thread's promisable
+/// set from `find_promises_with` (dead-promise cut, fingerprint memo)
+/// must equal the one the seed's search computes without the cut
+/// (`legacy_promisable`).
+fn check_promisable_sets_along_walk(test: &LitmusTest, arch: Arch, cap: usize) {
+    let config = Config::for_arch(arch)
+        .with_loop_fuel(test.loop_fuel.unwrap_or(DEFAULT_FUEL))
+        .with_workers(1);
+    let root = Machine::with_init(test.program.clone(), config, test.init.clone());
+    let mut seen = HashSet::from([root.fingerprint()]);
+    let mut queue = VecDeque::from([root]);
+    for _ in 0..cap {
+        let Some(m) = queue.pop_front() else {
+            return;
+        };
+        for tid in (0..m.num_threads()).map(TId) {
+            let mut memo = CertMemo::for_config(m.config());
+            let (promisable, _) = find_promises_with(&m, tid, &mut memo, None);
+            assert_eq!(
+                promisable,
+                promising_bench::legacy::legacy_promisable(&m, tid),
+                "{test} under {arch:?} rules: thread {} at {:?}",
+                tid.0,
+                m.state_key()
+            );
+        }
+        for tr in m.machine_steps() {
+            let mut next = m.clone();
+            next.apply(&tr).expect("machine step applies");
+            if seen.insert(next.fingerprint()) {
+                queue.push_back(next);
+            }
+        }
+    }
+}
+
+#[test]
+fn promisable_sets_match_the_legacy_reference_at_every_walked_state() {
+    // An independent per-state check of certification: every catalogue
+    // test under both architectures' rules, plus a stride of the
+    // generated two-thread suites. The catalogue has no thread that
+    // holds a promise across a RISC-V `fence w,r` or `fence r,r`, the
+    // fences that raise `vrNew` alone; the generated MP/S/R/2+2W shapes
+    // with those fences do.
+    for test in catalogue() {
+        for arch in [Arch::Arm, Arch::RiscV] {
+            check_promisable_sets_along_walk(&test, arch, 48);
+        }
+    }
+    for arch in [Arch::Arm, Arch::RiscV] {
+        for test in generate_subsample(arch, 7, 0) {
+            check_promisable_sets_along_walk(&test, arch, 48);
+        }
     }
 }
 

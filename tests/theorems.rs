@@ -8,11 +8,14 @@
 //! * **Theorem 6.3 / D.3** — the RISC-V model has no deadlocks;
 //! * **Theorem 7.1** — promise-first search equals naive interleaving
 //!   search;
-//! * view monotonicity — thread views only grow along any execution.
+//! * view monotonicity — thread views and coherence entries only grow
+//!   along any execution, the premise of certification's dead-promise cut.
 
 use promising_axiomatic::{enumerate_outcomes, AxConfig};
 use promising_core::stmt::CodeBuilder;
-use promising_core::{Arch, Config, Expr, Machine, Program, Reg, StmtId, ThreadCode, Transition};
+use promising_core::{
+    Arch, Config, Expr, Machine, Program, Reg, StmtId, TId, ThreadCode, Transition,
+};
 use promising_explorer::{explore_naive, explore_promise_first, CertMode};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -182,15 +185,22 @@ proptest! {
         prop_assert_eq!(exp.stats.deadlocks, 0, "RISC-V deadlock found");
     }
 
-    /// Views are monotone: along any machine execution, every scalar view
-    /// of every thread only grows.
+    /// Views are monotone: along any execution, every scalar view of
+    /// every thread only grows, and no `coh` entry shrinks or disappears.
+    /// The walk picks among the machine steps and the raw
+    /// `Machine::thread_steps` of every thread, which certification and
+    /// phase 2 take without certifying; the dead-promise cut relies on
+    /// `vwNew`, `vCAP` and `coh` never falling along either.
     #[test]
     fn views_are_monotone(recipes in program_strategy(), seed in any::<u64>()) {
         let program = to_program(&recipes, Arch::Arm);
         let mut m = Machine::new(program, Config::arm().with_loop_fuel(8));
         let mut rng = seed;
         for _ in 0..40 {
-            let steps = m.machine_steps();
+            let mut steps = m.machine_steps();
+            for tid in (0..m.num_threads()).map(TId) {
+                steps.extend(m.thread_steps(tid).into_iter().map(|k| Transition::new(tid, k)));
+            }
             if steps.is_empty() {
                 break;
             }
@@ -199,13 +209,23 @@ proptest! {
             let before: Vec<_> = m
                 .threads()
                 .iter()
-                .map(|t| (t.state.vr_old, t.state.vw_old, t.state.vr_new, t.state.vw_new, t.state.v_cap, t.state.v_rel))
+                .map(|t| {
+                    let s = &t.state;
+                    let views = (s.vr_old, s.vw_old, s.vr_new, s.vw_new, s.v_cap, s.v_rel);
+                    (views, s.coh_entries().collect::<Vec<_>>())
+                })
                 .collect();
-            m.apply(pick).expect("machine step applies");
-            for (t, b) in m.threads().iter().zip(before) {
+            m.apply(pick).expect("enabled step applies");
+            for (t, (b, coh)) in m.threads().iter().zip(before) {
                 let s = &t.state;
                 prop_assert!(s.vr_old >= b.0 && s.vw_old >= b.1 && s.vr_new >= b.2);
                 prop_assert!(s.vw_new >= b.3 && s.v_cap >= b.4 && s.v_rel >= b.5);
+                for (loc, v) in coh {
+                    prop_assert!(
+                        s.coh_entries().any(|(l, now)| l == loc && now >= v),
+                        "coh({:?}) fell below {:?} after {:?}", loc, v, pick
+                    );
+                }
             }
         }
     }
