@@ -1,8 +1,9 @@
-//! Reduction ablation: visited states of the naive promising search and
-//! the Flat-lite baseline with every reduction off (`states_off`,
+//! Reduction ablation: visited states of the naive promising search, the
+//! Flat-lite baseline and, on rows with identical threads, the
+//! promise-first search, with every reduction off (`states_off`,
 //! `Config::por` off: the unreduced reference) and on (`states_dpor`,
 //! the default). `reduction` is `states_off / states_dpor`. Rows come in
-//! two groups:
+//! three groups:
 //!
 //! * the **Table-2 heavy rows** (SLC-2, STC, STR, QU) are append-bound:
 //!   every thread keeps writing a contended location until it retires,
@@ -16,7 +17,13 @@
 //! * **read-parallel rows** — IRIW-style multi-observer shapes (the
 //!   catalogue entries plus `RF-n-k` fan-outs: one writer of `k`
 //!   locations, `n` pure-reader threads), where co-enabled observers
-//!   collapse multiplicatively.
+//!   collapse multiplicatively;
+//! * **symmetric rows** — Table-2 rows running k copies of one thread
+//!   (lock clients, pushers), under promise-first. Its reduction is
+//!   thread symmetry: one promise-mode state per orbit of renamings of
+//!   the copies, outcomes closed under the renamings. The off cell is
+//!   the unreduced state count that Table 2's P-states column no longer
+//!   shows on these rows.
 //!
 //! ```text
 //! cargo run --release -p promising-bench --bin table_dpor -- \
@@ -38,7 +45,9 @@ use promising_bench::{
     host_cpus, sweep_cell_text, sweep_json, worker_mode, worker_sweep, SweepCell, Table,
 };
 use promising_core::{Arch, CodeBuilder, Config, Expr, Loc, Machine, Program, Reg, Val};
-use promising_explorer::{explore_naive_budget, CertMode, Exploration, SearchBudget};
+use promising_explorer::{
+    explore_naive_budget, explore_promise_first_budget, CertMode, Exploration, SearchBudget,
+};
 use promising_flat::{explore_flat_budget, FlatMachine};
 use promising_litmus::{catalogue, DEFAULT_FUEL};
 use promising_workloads::{by_spec, init_for};
@@ -60,6 +69,17 @@ const HEAVY: &[&str] = &[
     "STR-100-010-010",
     "QU-100-000-000",
     "QU-100-010-000",
+];
+
+/// Table-2 rows with identical threads, run promise-first (the
+/// symmetric group — see the module docs).
+const SYMMETRIC: &[&str] = &[
+    "SLA-2",
+    "SLC-1",
+    "SLC-2",
+    "SLR-2",
+    "TL-1",
+    "STC-100-010-010",
 ];
 
 /// Read-parallel fan-outs: (readers, locations-each). The observer
@@ -228,6 +248,22 @@ fn main() {
         measure(t.name.clone(), "naive", "read-parallel", cells, Vec::new());
     }
 
+    for spec in SYMMETRIC {
+        let w = by_spec(spec).expect("symmetric row spec parses");
+        let init = init_for(&w);
+        let cells = settings(&w.config(Arch::Arm)).map(|c| {
+            let m = Machine::with_init(w.program.clone(), c, init.clone());
+            explore_promise_first_budget(&m, budget)
+        });
+        measure(
+            spec.to_string(),
+            "promise-first",
+            "symmetric",
+            cells,
+            Vec::new(),
+        );
+    }
+
     let mut header: Vec<String> = [
         "Test",
         "Model",
@@ -285,14 +321,16 @@ fn main() {
             mean("table2-heavy", Some("flat")),
         ),
         ("mean_reduction_read_parallel", mean("read-parallel", None)),
+        ("mean_reduction_symmetric", mean("symmetric", None)),
     ];
     let fmt_mean =
         |m: Option<f64>| m.map_or("- (all rows truncated)".to_string(), |m| format!("{m:.2}x"));
     println!(
-        "geometric-mean off -> default state reductions (completed rows): table2-heavy {} (flat {}), read-parallel {}",
+        "geometric-mean off -> default state reductions (completed rows): table2-heavy {} (flat {}), read-parallel {}, symmetric {}",
         fmt_mean(means[0].1),
         fmt_mean(means[1].1),
-        fmt_mean(means[2].1)
+        fmt_mean(means[2].1),
+        fmt_mean(means[3].1)
     );
 
     let mismatches: Vec<&Row> = rows.iter().filter(|r| !r.outcomes_equal()).collect();

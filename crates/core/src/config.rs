@@ -81,12 +81,15 @@ pub struct Config {
     /// exhaustive engines prune redundant interleavings through each
     /// model's `reduce` hook (per-state persistent sets), the flat model
     /// merges states that differ only in the interleaving order of
-    /// appends to different locations, and certification memo keys are
-    /// restricted to the certifying thread's access scope. Off is the
-    /// unreduced reference: no `reduce`, raw flat states, full
-    /// certification keys. Outcome sets are identical either way. The
-    /// reductions read the per-statement [`crate::stmt::MayAccess`]
-    /// sets.
+    /// appends to different locations, certification memo keys are
+    /// restricted to the certifying thread's access scope, and the
+    /// promise-first search expands one promise-mode state per orbit of
+    /// renamings of identical threads (thread symmetry), closing the
+    /// outcomes under those renamings. Off is the unreduced reference:
+    /// no `reduce`, raw flat states, full certification keys, no
+    /// symmetry. Outcome sets are identical either way. The
+    /// interleaving and memo-key reductions read the per-statement
+    /// [`crate::stmt::MayAccess`] sets.
     pub por: bool,
 }
 

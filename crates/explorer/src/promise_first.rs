@@ -33,8 +33,19 @@
 //! transitions are all promises, appends to memory's single total order,
 //! and phase 2 runs each thread alone against a fixed memory, so no
 //! cross-thread interleaving is left to prune: promise-first is itself
-//! the ordering reduction of Theorem 7.1. `Config::por` still restricts
-//! its certification memo keys.
+//! the ordering reduction of Theorem 7.1. What `Config::por` switches
+//! here is the certification memo keys (restricted to the certifying
+//! thread's access scope) and *thread symmetry*. Threads that run the
+//! same code from equal root instances and own no root message form a
+//! symmetry class, and renaming the members of a class maps reachable
+//! states to reachable states. The lock workloads run k such copies, so
+//! each promise-mode memory recurs up to k! times under renamed thread
+//! ids. With POR on, the fingerprint and exact key name a state's
+//! *orbit* under those renamings. Only the first member of each orbit
+//! the search reaches is expanded, and `outcome` adds every rearrangement
+//! of the class members' register maps, so the outcome set is the
+//! unreduced one. The "Thread symmetry" section of
+//! `docs/architecture.md` gives the argument.
 
 use crate::engine::{Engine, Exploration, SearchBudget, SearchModel};
 use crate::stats::{Stats, StopReason};
@@ -44,7 +55,7 @@ use promising_core::Outcome;
 use promising_core::Transition;
 use promising_core::{
     apply_step, enabled_steps, find_promises_with, has_dead_promise, CertMemo, Config, Fingerprint,
-    FpHashMap, FpHasher, Machine, Memory, Reg, ThreadInstance, Timestamp, TransitionKind,
+    FpHashMap, FpHasher, Machine, Memory, Msg, Reg, ThreadInstance, Timestamp, TransitionKind,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -162,6 +173,9 @@ pub struct PromiseFirstCache {
 /// memory's outcomes.
 pub struct PromiseFirstModel {
     root: Machine,
+    /// The root's symmetry classes ([`symmetry_classes`]); empty when
+    /// `Config::por` is off, which makes the search the unreduced one.
+    classes: Vec<Vec<TId>>,
 }
 
 impl PromiseFirstModel {
@@ -169,8 +183,95 @@ impl PromiseFirstModel {
     pub fn new(machine: &Machine) -> PromiseFirstModel {
         PromiseFirstModel {
             root: machine.clone(),
+            classes: if machine.config().por {
+                symmetry_classes(machine)
+            } else {
+                Vec::new()
+            },
         }
     }
+
+    /// The class permutation that names `m`'s orbit. Within each class
+    /// the members, sorted by promise set (as sorted timestamp lists),
+    /// take the class's thread ids in order; members with equal (empty)
+    /// sets keep their relative order. Returns `(order, sigma)`:
+    /// `order[i]` is the thread whose promises the orbit's canonical
+    /// member gives thread `i`, and `sigma` is its inverse, the new id
+    /// of each thread's messages.
+    fn orbit_relabelling(&self, m: &Machine) -> (Vec<TId>, Vec<TId>) {
+        let prom = |t: &TId| &m.thread(*t).state.prom;
+        let mut order: Vec<TId> = (0..m.num_threads()).map(TId).collect();
+        for class in &self.classes {
+            let mut by_prom = class.clone();
+            by_prom.sort_by(|a, b| prom(a).cmp(prom(b)));
+            for (slot, from) in class.iter().zip(by_prom) {
+                order[slot.0] = from;
+            }
+        }
+        let mut sigma = order.clone();
+        for (slot, from) in order.iter().enumerate() {
+            sigma[from.0] = TId(slot);
+        }
+        (order, sigma)
+    }
+
+    /// Insert `o` into `out` together with every rearrangement of the
+    /// class members' register maps, found by swapping neighbours within
+    /// a class until nothing new appears. Every insertion goes through
+    /// here, so `out` is closed under the rearrangements between calls,
+    /// and an outcome already in it brings its whole orbit along: the
+    /// work tracks the new outcomes.
+    fn insert_orbit(&self, o: Outcome, out: &mut BTreeSet<Outcome>) {
+        if self.classes.is_empty() {
+            out.insert(o);
+            return;
+        }
+        let mut todo = vec![o];
+        while let Some(o) = todo.pop() {
+            if out.contains(&o) {
+                continue;
+            }
+            for class in &self.classes {
+                for pair in class.windows(2) {
+                    let (a, b) = (pair[0].0, pair[1].0);
+                    if o.regs[a] != o.regs[b] {
+                        let mut swapped = o.clone();
+                        swapped.regs.swap(a, b);
+                        todo.push(swapped);
+                    }
+                }
+            }
+            out.insert(o);
+        }
+    }
+}
+
+/// The symmetry classes of `m`'s threads: maximal groups of at least two
+/// threads that run the same code from equal instances and own no
+/// message in `m`'s memory, members in thread-id order. Renaming the
+/// members of a class fixes `m` itself (the promise-first search roots
+/// at `m`), and no rule reads a thread's own id except to compare it
+/// with a message's or to stamp a new message, so the renaming commutes
+/// with every step of the search.
+fn symmetry_classes(m: &Machine) -> Vec<Vec<TId>> {
+    let owners: BTreeSet<TId> = m.memory().iter().map(|(_, msg)| msg.tid).collect();
+    let code = m.program().threads();
+    let mut classes: Vec<Vec<TId>> = Vec::new();
+    for tid in (0..m.num_threads()).map(TId) {
+        if owners.contains(&tid) {
+            continue;
+        }
+        let same = |class: &&mut Vec<TId>| {
+            let rep = class[0];
+            m.thread(rep) == m.thread(tid) && code[rep.0] == code[tid.0]
+        };
+        match classes.iter_mut().find(same) {
+            Some(class) => class.push(tid),
+            None => classes.push(vec![tid]),
+        }
+    }
+    classes.retain(|class| class.len() > 1);
+    classes
 }
 
 impl SearchModel for PromiseFirstModel {
@@ -204,12 +305,51 @@ impl SearchModel for PromiseFirstModel {
         }
     }
 
+    /// With symmetry classes, the fingerprint of the state's orbit: the
+    /// promise sets in the canonical member's order, then the messages
+    /// with their thread ids renamed. Every state of such a search is
+    /// hashed this way, so states the renaming moves and states it
+    /// leaves in place share one encoding. The initial values are the
+    /// same in every state of one search and are left out.
     fn fingerprint(&self, s: &Machine) -> Fingerprint {
-        promise_fp(s)
+        if self.classes.is_empty() {
+            return promise_fp(s);
+        }
+        let (order, sigma) = self.orbit_relabelling(s);
+        let mut h = FpHasher::new();
+        h.write_len(order.len());
+        for t in &order {
+            let prom = &s.thread(*t).state.prom;
+            h.write_len(prom.len());
+            for ts in prom {
+                h.write_u32(ts.0);
+            }
+        }
+        h.write_len(s.memory().len());
+        for (_, msg) in s.memory().iter() {
+            h.write_u64(msg.loc.0);
+            h.write_i64(msg.val.0);
+            h.write_len(sigma[msg.tid.0].0);
+        }
+        h.finish128()
     }
 
+    /// With symmetry classes, the orbit's canonical member: the same
+    /// renaming as [`fingerprint`](SearchModel::fingerprint).
     fn exact_key(&self, s: &Machine) -> PromiseKey {
-        promise_key(s)
+        if self.classes.is_empty() {
+            return promise_key(s);
+        }
+        let (order, sigma) = self.orbit_relabelling(s);
+        let proms = order
+            .iter()
+            .map(|t| s.thread(*t).state.prom.clone())
+            .collect();
+        let mut memory = Memory::with_init(s.memory().init_values().clone());
+        for (_, msg) in s.memory().iter() {
+            memory.push(Msg::new(msg.loc, msg.val, sigma[msg.tid.0]));
+        }
+        (proms, memory)
     }
 
     fn outcome(
@@ -276,10 +416,11 @@ impl SearchModel for PromiseFirstModel {
                 regs_product = next;
             }
             for regs in regs_product {
-                out.insert(Outcome {
+                let o = Outcome {
                     regs,
                     memory: memory.clone(),
-                });
+                };
+                self.insert_orbit(o, out);
             }
         }
     }

@@ -74,7 +74,9 @@ impl fmt::Display for StopReason {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Stats {
     /// Distinct states visited (after deduplication). In sampling runs,
-    /// total walk steps (walks do not deduplicate).
+    /// total walk steps (walks do not deduplicate). Promise-first with
+    /// `Config::por` on counts one representative per orbit of
+    /// identical threads (see `PromiseFirstModel`).
     pub states: u64,
     /// Transitions applied (including revisits). Promise-first also
     /// counts its phase-2 steps, but none below a dead promise
@@ -82,7 +84,10 @@ pub struct Stats {
     pub transitions: u64,
     /// `find_and_certify` invocations.
     pub certifications: u64,
-    /// Number of final memories enumerated (promise-first only).
+    /// Number of final memories enumerated (promise-first only). With
+    /// `Config::por` on, only those of orbit representatives: a final
+    /// memory reached again under renamed identical threads is not
+    /// counted again.
     pub final_memories: u64,
     /// Traces that hit the loop bound (incomplete, discarded). Phase 2
     /// of promise-first stops a trace at a dead promise

@@ -12,11 +12,23 @@
 //! fresh certification under POR off. `tests/dpor_agreement.rs` sweeps
 //! further selections of the same suites with POR on and off.
 //!
+//! Promise-first's reduction is thread symmetry: with POR on it expands
+//! one state per orbit of identical threads and closes the outcomes
+//! under renaming them. No corpus test has identical threads, so the
+//! symmetric path is checked on the Table-2 lock rows, on random
+//! programs with one thread duplicated, and on identical threads whose
+//! root is not symmetric.
+//!
 //! [`Config::por`]: promising_core::Config
 
 use promising_core::ids::TId;
-use promising_core::{find_and_certify, find_and_certify_with, Arch, CertMemo, Config, Machine};
-use promising_explorer::{explore_naive, CertMode, Engine, NaiveModel, SearchModel, Stats};
+use promising_core::{
+    find_and_certify, find_and_certify_with, Arch, CertMemo, Config, Machine, Program,
+};
+use promising_explorer::{
+    explore_naive, explore_promise_first, CertMode, Engine, Exploration, NaiveModel,
+    PromiseFirstModel, SearchModel, Stats,
+};
 use promising_flat::{explore_flat, FlatMachine};
 use promising_litmus::{
     catalogue, generate_lang_subsample, generate_rmw_subsample, generate_subsample,
@@ -26,6 +38,7 @@ use promising_litmus::{
 use promising_workloads::{by_spec, init_for};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The two strategies the reduction actually prunes, plus promise-first
 /// (whose reduce hook is the default no-op but whose certification keys
@@ -430,6 +443,19 @@ proptest! {
     ) {
         check_memo_agrees_with_fresh(&test, seed);
     }
+
+    /// Thread symmetry on random programs: a generated test with a copy
+    /// of one of its threads appended has a symmetry class, and
+    /// promise-first with POR on must still find exactly the POR-off
+    /// outcomes, visiting no more states.
+    #[test]
+    fn promise_first_symmetry_agrees_on_random_programs(
+        test in generated_test_strategy(),
+        pick in 0..4usize,
+    ) {
+        let twin = with_duplicate_thread(&test, pick);
+        prop_assert_eq!(check_por_agreement(&twin, ModelKind::Promising), Ok(()));
+    }
 }
 
 #[test]
@@ -467,4 +493,142 @@ fn observer_collapse_never_starves_outcomes() {
         .collect();
     assert_eq!(readings.len(), 8, "some observer reading was starved");
     assert!(on.stats.por_pruned > 0);
+}
+
+// ---- thread symmetry (promise-first) ----------------------------------
+
+/// `test` with a copy of thread `pick % n` appended: the copy and the
+/// original run the same code from equal root instances.
+fn with_duplicate_thread(test: &LitmusTest, pick: usize) -> LitmusTest {
+    let mut threads = test.program.threads().to_vec();
+    threads.push(threads[pick % threads.len()].clone());
+    LitmusTest {
+        name: format!("{}+dup{}", test.name, pick % test.program.num_threads()),
+        program: Arc::new(Program::new(threads)),
+        lang: None,
+        ..test.clone()
+    }
+}
+
+/// Promise-first on Table-2 row `spec` under the row's ARM configuration
+/// with `tweak` applied.
+fn promise_first_row(spec: &str, tweak: impl Fn(Config) -> Config) -> Exploration {
+    let w = by_spec(spec).expect("spec parses");
+    let config = tweak(w.config(Arch::Arm));
+    explore_promise_first(&Machine::with_init(w.program.clone(), config, init_for(&w)))
+}
+
+#[test]
+fn promise_first_symmetry_agrees_on_table2_rows() {
+    // Table-2 rows with a symmetry class: k copies of one lock client,
+    // or of a producer, pusher or enqueuer. Expanding one state per
+    // orbit and closing the outcomes under renaming the copies must
+    // give the unreduced outcome set. On the lock rows the reduction
+    // must also fire, by exactly the orbit counts, pinned as (POR off,
+    // POR on) promise-mode states.
+    for (spec, pinned) in [
+        ("SLA-1", Some((67, 34))),
+        ("SLC-1", Some((1_393, 236))),
+        ("SLR-1", Some((1_003, 171))),
+        ("TL-1", Some((1_855, 313))),
+        ("PCM-1-1-1", None),
+        ("STC-100-010-010", None),
+        ("STR-100-010-010", None),
+        ("QU-100-000-000", None),
+    ] {
+        let off = promise_first_row(spec, |c| c.with_por(false));
+        let on = promise_first_row(spec, |c| c);
+        assert_eq!(on.outcomes, off.outcomes, "{spec}: POR on and off differ");
+        assert!(on.stats.states <= off.stats.states, "{spec}");
+        if let Some(pinned) = pinned {
+            assert_eq!(
+                (off.stats.states, on.stats.states),
+                pinned,
+                "{spec}: promise-first states (POR off, POR on)"
+            );
+        }
+    }
+    // and the reduced search still agrees with the naive reference
+    // (Thm 7.1), which has no symmetry reduction
+    let w = by_spec("SLA-1").expect("spec parses");
+    let m = Machine::with_init(w.program.clone(), w.config(Arch::Arm), init_for(&w));
+    let naive = explore_naive(&m, CertMode::Online);
+    assert_eq!(
+        promise_first_row("SLA-1", |c| c).outcomes,
+        naive.outcomes,
+        "SLA-1: promise-first with symmetry vs naive"
+    );
+}
+
+#[test]
+fn promise_first_symmetric_sampling_is_sound_and_deterministic() {
+    // Sampling walks close their outcomes under the same renamings: they
+    // must stay inside the exhaustive set and, for a fixed seed, give
+    // the same result at 1 and 4 workers.
+    let w = by_spec("SLC-1").expect("spec parses");
+    let machine = |workers: usize| {
+        Machine::with_init(
+            w.program.clone(),
+            w.config(Arch::Arm).with_workers(workers),
+            init_for(&w),
+        )
+    };
+    let exhaustive = explore_promise_first(&machine(1));
+    let a = Engine::new(PromiseFirstModel::new(&machine(1))).sample(256, 0x5EED);
+    assert!(!a.outcomes.is_empty());
+    assert!(
+        a.outcomes.is_subset(&exhaustive.outcomes),
+        "SLC-1: sampled outcomes escape the exhaustive set"
+    );
+    let b = Engine::new(PromiseFirstModel::new(&machine(4))).sample(256, 0x5EED);
+    assert_eq!(a.outcomes, b.outcomes, "SLC-1: 1 vs 4 workers differ");
+    assert_eq!(a.stats.states, b.stats.states);
+}
+
+#[test]
+fn promise_first_does_not_reduce_an_asymmetric_root() {
+    // Two copies of `r1 = load(x); store(x, 1)`, where thread 0 (and,
+    // in the second machine, thread 1 too) has already promised its
+    // store at the root. Renaming the threads does not fix such a root:
+    // thread 0 must fulfil at timestamp 1, so it reads x = 0, while
+    // thread 1 may read thread 0's 1. Closing the outcomes under the
+    // swap would invent thread 0 reading 1.
+    use promising_core::{CodeBuilder, Expr, Loc, Msg, Reg, Transition, TransitionKind, Val};
+    let copy = || {
+        let mut b = CodeBuilder::new();
+        let l = b.load(Reg(1), Expr::val(0));
+        let s = b.store(Expr::val(0), Expr::val(1));
+        b.finish_seq(&[l, s])
+    };
+    let program = Arc::new(Program::new(vec![copy(), copy()]));
+    for promised in [1, 2] {
+        let root = |por: bool| {
+            let mut m = Machine::new(Arc::clone(&program), Config::arm().with_por(por));
+            for tid in (0..promised).map(TId) {
+                let msg = Msg::new(Loc(0), Val(1), tid);
+                m.apply(&Transition::new(tid, TransitionKind::Promise { msg }))
+                    .expect("promise applies");
+            }
+            m
+        };
+        let on = explore_promise_first(&root(true));
+        let off = explore_promise_first(&root(false));
+        let naive = explore_naive(&root(true), CertMode::Online);
+        assert_eq!(
+            on.outcomes, off.outcomes,
+            "{promised} promised: POR on vs off"
+        );
+        assert_eq!(
+            on.outcomes, naive.outcomes,
+            "{promised} promised: on vs naive"
+        );
+        assert!(
+            on.outcomes.iter().all(|o| o.reg(0, Reg(1)) == Val(0)),
+            "{promised} promised: thread 0 cannot read its own promise"
+        );
+        assert!(
+            on.outcomes.iter().any(|o| o.reg(1, Reg(1)) == Val(1)),
+            "{promised} promised: thread 1 reads thread 0's promise"
+        );
+    }
 }

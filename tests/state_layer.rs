@@ -279,7 +279,7 @@ fn outcome_json_escapes_and_digest_shape() {
 fn parallel_workloads_agree_with_serial() {
     use promising_core::Arch;
     use promising_workloads::{by_spec, init_for};
-    for spec in ["SLA-2", "PCS-1-1", "STC-100-010-000"] {
+    for spec in ["SLA-2", "SLC-1", "PCS-1-1", "STC-100-010-000"] {
         let w = by_spec(spec).expect("spec parses");
         let serial = explore_promise_first(&Machine::with_init(
             w.program.clone(),
