@@ -68,28 +68,9 @@ type RegMap = BTreeMap<Reg, promising_core::Val>;
 type RegMaps = Rc<BTreeSet<RegMap>>;
 
 /// Exact promise-mode state identity (paranoid dedup): the per-thread
-/// promise sets and the memory — the only parts that change in phase 1.
+/// promise sets and the memory — the only parts that change in phase 1 —
+/// of the orbit's canonical member.
 type PromiseKey = (Vec<BTreeSet<Timestamp>>, Memory);
-
-fn promise_fp(m: &Machine) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_len(m.num_threads());
-    for t in m.threads() {
-        h.write_len(t.state.prom.len());
-        for ts in &t.state.prom {
-            h.write_u32(ts.0);
-        }
-    }
-    m.memory().feed(&mut h);
-    h.finish128()
-}
-
-fn promise_key(m: &Machine) -> PromiseKey {
-    (
-        m.threads().iter().map(|t| t.state.prom.clone()).collect(),
-        m.memory().clone(),
-    )
-}
 
 /// Exact phase-2 sub-problem identity, stored in paranoid mode only.
 type Phase2Exact = (TId, ThreadInstance, Memory);
@@ -222,10 +203,6 @@ impl PromiseFirstModel {
     /// and an outcome already in it brings its whole orbit along: the
     /// work tracks the new outcomes.
     fn insert_orbit(&self, o: Outcome, out: &mut BTreeSet<Outcome>) {
-        if self.classes.is_empty() {
-            out.insert(o);
-            return;
-        }
         let mut todo = vec![o];
         while let Some(o) = todo.pop() {
             if out.contains(&o) {
@@ -305,16 +282,13 @@ impl SearchModel for PromiseFirstModel {
         }
     }
 
-    /// With symmetry classes, the fingerprint of the state's orbit: the
-    /// promise sets in the canonical member's order, then the messages
-    /// with their thread ids renamed. Every state of such a search is
-    /// hashed this way, so states the renaming moves and states it
-    /// leaves in place share one encoding. The initial values are the
+    /// The fingerprint of the state's orbit: the promise sets in the
+    /// canonical member's order, then the messages with their thread ids
+    /// renamed. Every state is hashed this way, so states the renaming
+    /// moves and states it leaves in place share one encoding; without
+    /// classes the renaming is the identity. The initial values are the
     /// same in every state of one search and are left out.
     fn fingerprint(&self, s: &Machine) -> Fingerprint {
-        if self.classes.is_empty() {
-            return promise_fp(s);
-        }
         let (order, sigma) = self.orbit_relabelling(s);
         let mut h = FpHasher::new();
         h.write_len(order.len());
@@ -334,12 +308,9 @@ impl SearchModel for PromiseFirstModel {
         h.finish128()
     }
 
-    /// With symmetry classes, the orbit's canonical member: the same
-    /// renaming as [`fingerprint`](SearchModel::fingerprint).
+    /// The orbit's canonical member: the same renaming as
+    /// [`fingerprint`](SearchModel::fingerprint).
     fn exact_key(&self, s: &Machine) -> PromiseKey {
-        if self.classes.is_empty() {
-            return promise_key(s);
-        }
         let (order, sigma) = self.orbit_relabelling(s);
         let proms = order
             .iter()
