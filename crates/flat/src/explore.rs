@@ -116,17 +116,6 @@ impl SearchModel for FlatModel {
     }
 }
 
-fn tid_of(t: &FlatTransition) -> usize {
-    match t {
-        FlatTransition::FetchBranch { tid, .. }
-        | FlatTransition::Satisfy { tid, .. }
-        | FlatTransition::FailStx { tid, .. }
-        | FlatTransition::Propagate { tid, .. }
-        | FlatTransition::BindRmw { tid, .. }
-        | FlatTransition::PropagateRmw { tid, .. } => tid.0,
-    }
-}
-
 /// Frozen-read persistent sets (the sharper half of the flat
 /// [`Config::por`] reduction): when every enabled transition of some
 /// thread `q` is a speculation guess (`FetchBranch`) or a `Satisfy` of a
@@ -179,7 +168,7 @@ fn reduce_flat_frozen_reads(m: &FlatMachine, transitions: &mut Vec<FlatTransitio
     let mut has = vec![false; n];
     let mut eligible = vec![true; n];
     for t in transitions.iter() {
-        let q = tid_of(t);
+        let q = t.tid().0;
         has[q] = true;
         eligible[q] &= match *t {
             FlatTransition::FetchBranch { .. } => true,
@@ -195,10 +184,10 @@ fn reduce_flat_frozen_reads(m: &FlatMachine, transitions: &mut Vec<FlatTransitio
     let Some(keep) = (0..n).find(|&q| has[q] && eligible[q]) else {
         return false;
     };
-    if transitions.iter().all(|t| tid_of(t) == keep) {
+    if transitions.iter().all(|t| t.tid().0 == keep) {
         return false;
     }
-    transitions.retain(|t| tid_of(t) == keep);
+    transitions.retain(|t| t.tid().0 == keep);
     true
 }
 
@@ -243,7 +232,7 @@ fn reduce_flat_delayable(m: &FlatMachine, transitions: &mut Vec<FlatTransition>)
     let n = m.threads().len();
     let mut seen = vec![false; n];
     for t in transitions.iter() {
-        seen[tid_of(t)] = true;
+        seen[t.tid().0] = true;
     }
     let reads: Vec<MayAccess> = (0..n).map(|t| m.thread_future_reads(TId(t))).collect();
     let writes: Vec<MayAccess> = (0..n).map(|t| m.thread_future_writes(TId(t))).collect();
@@ -264,7 +253,7 @@ fn reduce_flat_delayable(m: &FlatMachine, transitions: &mut Vec<FlatTransition>)
         // a single delayable thread has nothing to collapse against
         return;
     }
-    transitions.retain(|t| !delayable[tid_of(t)] || tid_of(t) == keep);
+    transitions.retain(|t| !delayable[t.tid().0] || t.tid().0 == keep);
 }
 
 /// Exhaustively explore all interleavings of `machine`.

@@ -212,7 +212,8 @@ impl Instance {
             } if *exclusive && *succ == r => Some(match self.state {
                 // The success value is bound when the store exclusive
                 // propagates (success) or fails. This is the conservative
-                // reading of ARM's success dependency (see DESIGN.md).
+                // reading of ARM's success dependency (see "Flat-lite's
+                // conservative simplifications" in docs/architecture.md).
                 InstState::Propagated { .. } => Some(Val::SUCCESS),
                 InstState::Failed => Some(Val::FAIL),
                 _ => None,

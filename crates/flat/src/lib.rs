@@ -18,9 +18,11 @@
 //! explodes compared to the promise-first Promising search — the effect
 //! Tables 2 and 3 of the paper quantify.
 //!
-//! See DESIGN.md for the two documented conservative simplifications
-//! relative to the original Flat (restart-free load binding; late
-//! store-exclusive success binding).
+//! See "Flat-lite's conservative simplifications" in
+//! docs/architecture.md for the three documented conservative
+//! simplifications relative to the original Flat (restart-free load
+//! binding; late store-exclusive success binding; no forwarding from a
+//! pending store exclusive).
 //!
 //! ```
 //! use promising_core::{parse_program, Config, Reg, Val};

@@ -20,14 +20,16 @@
 //! multiple-steps-per-instruction, speculation-and-squash cost structure
 //! of the original Flat model.
 //!
-//! Compared to the architecture (and to Promising), Flat-lite makes two
-//! *conservative* simplifications, documented in DESIGN.md: loads wait for
-//! the addresses of all po-earlier accesses to resolve (real ARM lets them
-//! satisfy speculatively and restarts on coherence violations), and a
-//! store exclusive's success register binds only at propagate/fail time
-//! (real ARM may assume success early — the §C.1 relaxation). Both make
-//! Flat-lite forbid a handful of exotic outcomes that the other two models
-//! allow; the litmus harness skips exactly those shapes for Flat.
+//! Compared to the architecture (and to Promising), Flat-lite makes three
+//! *conservative* simplifications, documented in docs/architecture.md
+//! ("Flat-lite's conservative simplifications"): loads wait for the
+//! addresses of all po-earlier accesses to resolve (real ARM lets them
+//! satisfy speculatively and restarts on coherence violations), a store
+//! exclusive's success register binds only at propagate/fail time (real
+//! ARM may assume success early — the §C.1 relaxation), and loads never
+//! forward from a pending store exclusive. They make Flat-lite forbid a
+//! handful of exotic outcomes that the other two models allow; the litmus
+//! harness skips exactly those shapes for Flat.
 
 use crate::instance::{InstOp, InstState, Instance, Src};
 use promising_core::config::Arch;
@@ -111,6 +113,20 @@ pub enum FlatTransition {
     },
 }
 
+impl FlatTransition {
+    /// The acting thread.
+    pub(crate) fn tid(&self) -> TId {
+        match self {
+            FlatTransition::FetchBranch { tid, .. }
+            | FlatTransition::Satisfy { tid, .. }
+            | FlatTransition::Propagate { tid, .. }
+            | FlatTransition::FailStx { tid, .. }
+            | FlatTransition::BindRmw { tid, .. }
+            | FlatTransition::PropagateRmw { tid, .. } => *tid,
+        }
+    }
+}
+
 impl fmt::Display for FlatTransition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -133,11 +149,15 @@ impl fmt::Display for FlatTransition {
 }
 
 /// The Flat-lite machine state.
+///
+/// Each thread sits behind an `Arc` and is mutated through
+/// `Arc::make_mut`, so cloning a machine costs one reference-count bump
+/// per thread and a step copies only the thread that acts.
 #[derive(Clone, Debug)]
 pub struct FlatMachine {
     config: Arc<Config>,
     program: Arc<Program>,
-    threads: Vec<FlatThread>,
+    threads: Vec<Arc<FlatThread>>,
     memory: Memory,
 }
 
@@ -176,11 +196,13 @@ impl FlatMachine {
         let threads = program
             .threads()
             .iter()
-            .map(|code| FlatThread {
-                instances: Vec::new(),
-                fetch_cont: vec![code.entry()],
-                fetch_fuel: config.loop_fuel,
-                stuck: false,
+            .map(|code| {
+                Arc::new(FlatThread {
+                    instances: Vec::new(),
+                    fetch_cont: vec![code.entry()],
+                    fetch_fuel: config.loop_fuel,
+                    stuck: false,
+                })
             })
             .collect();
         let mut m = FlatMachine {
@@ -204,7 +226,7 @@ impl FlatMachine {
     }
 
     /// The threads.
-    pub fn threads(&self) -> &[FlatThread] {
+    pub fn threads(&self) -> &[Arc<FlatThread>] {
         &self.threads
     }
 
@@ -218,7 +240,7 @@ impl FlatMachine {
             FlatStateKey::Canon(self.canonical_words())
         } else {
             FlatStateKey::Raw {
-                threads: self.threads.clone(),
+                threads: self.threads.iter().map(|t| FlatThread::clone(t)).collect(),
                 memory: self.memory.clone(),
             }
         }
@@ -724,17 +746,33 @@ impl FlatMachine {
 
     // ---- deterministic micro-steps (auto-drained) --------------------
 
-    /// Run all deterministic steps to a fixpoint: fetch, assignment
-    /// execution, branch resolution (with squash), fence/isb commit.
+    /// Run every thread's deterministic steps to their fixpoint (see
+    /// [`FlatMachine::drain_thread`]). Only the constructor needs this:
+    /// [`FlatMachine::apply`] drains the acting thread alone.
     fn drain(&mut self) {
+        for tid in (0..self.threads.len()).map(TId) {
+            self.drain_thread(tid);
+        }
+    }
+
+    /// Run thread `tid`'s deterministic steps to a fixpoint: fetch,
+    /// assignment execution, branch resolution (with squash), fence/isb
+    /// commit.
+    ///
+    /// Each pass reads only `tid`'s own instances, registers, fetch
+    /// state and code — never memory and never another thread — and
+    /// writes only `tid`'s thread. So a thread at its fixpoint stays
+    /// there until one of its own nondeterministic transitions moves it:
+    /// once the constructor has drained every thread, draining just the
+    /// acting thread after each step leaves the same state as draining
+    /// them all. The passes run in the same order either way, so the
+    /// acting thread reaches the same fixpoint too.
+    fn drain_thread(&mut self, tid: TId) {
         loop {
-            let mut progressed = false;
-            for tid in (0..self.threads.len()).map(TId) {
-                progressed |= self.fetch_deterministic(tid);
-                progressed |= self.execute_assigns(tid);
-                progressed |= self.resolve_branches(tid);
-                progressed |= self.commit_fences(tid);
-            }
+            let mut progressed = self.fetch_deterministic(tid);
+            progressed |= self.execute_assigns(tid);
+            progressed |= self.resolve_branches(tid);
+            progressed |= self.commit_fences(tid);
             if !progressed {
                 break;
             }
@@ -743,10 +781,11 @@ impl FlatMachine {
 
     /// Fetch instructions as long as no unresolved-branch choice is needed.
     fn fetch_deterministic(&mut self, tid: TId) -> bool {
+        let program = Arc::clone(&self.program);
+        let code = &program.threads()[tid.0];
         let mut progressed = false;
         loop {
-            let code = &self.program.threads()[tid.0];
-            let t = &mut self.threads[tid.0];
+            let t = Arc::make_mut(&mut self.threads[tid.0]);
             if t.stuck {
                 return progressed;
             }
@@ -755,9 +794,8 @@ impl FlatMachine {
                 match code.stmt(top) {
                     Stmt::Seq(a, b) => {
                         t.fetch_cont.pop();
-                        let (a, b) = (*a, *b);
-                        t.fetch_cont.push(b);
-                        t.fetch_cont.push(a);
+                        t.fetch_cont.push(*b);
+                        t.fetch_cont.push(*a);
                     }
                     Stmt::Skip => {
                         t.fetch_cont.pop();
@@ -769,52 +807,36 @@ impl FlatMachine {
                 return progressed;
             };
             let idx = t.instances.len();
-            match code.stmt(top).clone() {
+            let op = match code.stmt(top) {
                 Stmt::Skip | Stmt::Seq(..) => unreachable!("normalized"),
-                Stmt::Assign { reg, expr } => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances
-                        .push(Instance::new(top, InstOp::Assign { reg, expr }));
-                }
+                Stmt::Assign { reg, expr } => InstOp::Assign {
+                    reg: *reg,
+                    expr: expr.clone(),
+                },
                 Stmt::Load {
                     reg,
                     addr,
                     kind,
                     exclusive,
-                } => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(
-                        top,
-                        InstOp::Load {
-                            reg,
-                            addr,
-                            rk: kind,
-                            exclusive,
-                        },
-                    ));
-                }
+                } => InstOp::Load {
+                    reg: *reg,
+                    addr: addr.clone(),
+                    rk: *kind,
+                    exclusive: *exclusive,
+                },
                 Stmt::Store {
                     succ,
                     addr,
                     data,
                     kind,
                     exclusive,
-                } => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(
-                        top,
-                        InstOp::Store {
-                            succ,
-                            addr,
-                            data,
-                            wk: kind,
-                            exclusive,
-                        },
-                    ));
-                }
+                } => InstOp::Store {
+                    succ: *succ,
+                    addr: addr.clone(),
+                    data: data.clone(),
+                    wk: *kind,
+                    exclusive: *exclusive,
+                },
                 Stmt::Rmw {
                     op,
                     dst,
@@ -824,86 +846,75 @@ impl FlatMachine {
                     operand,
                     rk,
                     wk,
-                } => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(
-                        top,
-                        InstOp::Rmw {
-                            op,
-                            dst,
-                            succ,
-                            addr,
-                            expected,
-                            operand,
-                            rk,
-                            wk,
-                        },
-                    ));
-                }
-                Stmt::Fence(f) => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(top, InstOp::Fence(f)));
-                }
-                Stmt::Isb => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(top, InstOp::Isb));
-                }
+                } => InstOp::Rmw {
+                    op: *op,
+                    dst: *dst,
+                    succ: *succ,
+                    addr: addr.clone(),
+                    expected: expected.clone(),
+                    operand: operand.clone(),
+                    rk: *rk,
+                    wk: *wk,
+                },
+                Stmt::Fence(f) => InstOp::Fence(*f),
+                Stmt::Isb => InstOp::Isb,
                 Stmt::If {
                     cond,
                     then_branch,
                     else_branch,
                 } => {
                     // resolvable now? fetch the right path without a guess
-                    match self.eval_at(tid, idx, &cond) {
-                        Some(v) => {
-                            let taken = v.as_bool();
-                            let t = &mut self.threads[tid.0];
-                            t.fetch_cont.pop();
-                            t.fetch_cont
-                                .push(if taken { then_branch } else { else_branch });
-                            t.instances.push(Instance {
-                                stmt: top,
-                                op: InstOp::Branch {
-                                    cond,
-                                    guess: taken,
-                                    alt_cont: Vec::new(),
-                                },
-                                state: InstState::Resolved { taken },
-                            });
-                        }
-                        None => return progressed, // speculation choice needed
-                    }
+                    let Some(v) = self.eval_at(tid, idx, cond) else {
+                        return progressed; // speculation choice needed
+                    };
+                    let taken = v.as_bool();
+                    let t = Arc::make_mut(&mut self.threads[tid.0]);
+                    t.fetch_cont.pop();
+                    t.fetch_cont
+                        .push(if taken { *then_branch } else { *else_branch });
+                    t.instances.push(Instance {
+                        stmt: top,
+                        op: InstOp::Branch {
+                            cond: cond.clone(),
+                            guess: taken,
+                            alt_cont: Vec::new(),
+                        },
+                        state: InstState::Resolved { taken },
+                    });
+                    progressed = true;
+                    continue;
                 }
-                Stmt::While { cond, body } => match self.eval_at(tid, idx, &cond) {
-                    Some(v) => {
-                        let taken = v.as_bool();
-                        let t = &mut self.threads[tid.0];
-                        if taken {
-                            if t.fetch_fuel == 0 {
-                                t.stuck = true;
-                                return progressed;
-                            }
-                            t.fetch_fuel -= 1;
-                            t.fetch_cont.push(body);
-                        } else {
-                            t.fetch_cont.pop();
+                Stmt::While { cond, body } => {
+                    let Some(v) = self.eval_at(tid, idx, cond) else {
+                        return progressed;
+                    };
+                    let taken = v.as_bool();
+                    let t = Arc::make_mut(&mut self.threads[tid.0]);
+                    if taken {
+                        if t.fetch_fuel == 0 {
+                            t.stuck = true;
+                            return progressed;
                         }
-                        t.instances.push(Instance {
-                            stmt: top,
-                            op: InstOp::Branch {
-                                cond,
-                                guess: taken,
-                                alt_cont: Vec::new(),
-                            },
-                            state: InstState::Resolved { taken },
-                        });
+                        t.fetch_fuel -= 1;
+                        t.fetch_cont.push(*body);
+                    } else {
+                        t.fetch_cont.pop();
                     }
-                    None => return progressed,
-                },
-            }
+                    t.instances.push(Instance {
+                        stmt: top,
+                        op: InstOp::Branch {
+                            cond: cond.clone(),
+                            guess: taken,
+                            alt_cont: Vec::new(),
+                        },
+                        state: InstState::Resolved { taken },
+                    });
+                    progressed = true;
+                    continue;
+                }
+            };
+            t.fetch_cont.pop();
+            t.instances.push(Instance::new(top, op));
             progressed = true;
         }
     }
@@ -912,13 +923,16 @@ impl FlatMachine {
         let mut progressed = false;
         for idx in 0..self.threads[tid.0].instances.len() {
             let inst = &self.threads[tid.0].instances[idx];
-            if let (InstOp::Assign { expr, .. }, InstState::Pending) =
-                (&inst.op.clone(), inst.state)
-            {
-                if let Some(val) = self.eval_at(tid, idx, expr) {
-                    self.threads[tid.0].instances[idx].state = InstState::Done { val };
-                    progressed = true;
+            let val = match &inst.op {
+                InstOp::Assign { expr, .. } if inst.state == InstState::Pending => {
+                    self.eval_at(tid, idx, expr)
                 }
+                _ => None,
+            };
+            if let Some(val) = val {
+                Arc::make_mut(&mut self.threads[tid.0]).instances[idx].state =
+                    InstState::Done { val };
+                progressed = true;
             }
         }
         progressed
@@ -930,43 +944,38 @@ impl FlatMachine {
         let mut progressed = false;
         let mut idx = 0;
         while idx < self.threads[tid.0].instances.len() {
-            let inst = self.threads[tid.0].instances[idx].clone();
-            if let (
-                InstOp::Branch {
-                    cond,
-                    guess,
-                    alt_cont,
-                },
-                InstState::Pending,
-            ) = (&inst.op, inst.state)
-            {
-                if let Some(v) = self.eval_at(tid, idx, cond) {
-                    let taken = v.as_bool();
-                    let t = &mut self.threads[tid.0];
-                    if taken == *guess {
-                        t.instances[idx].state = InstState::Resolved { taken };
-                    } else {
-                        // mis-speculation: discard everything younger and
-                        // refetch down the other path.
-                        debug_assert!(
-                            t.instances[idx + 1..].iter().all(|i| !matches!(
-                                i.state,
-                                InstState::Propagated { .. }
-                                    | InstState::RmwDone { wrote: Some(_), .. }
-                            )),
-                            "speculative stores must never propagate"
-                        );
-                        t.instances.truncate(idx + 1);
-                        t.fetch_cont = alt_cont.clone();
-                        t.instances[idx].state = InstState::Resolved { taken };
-                        t.instances[idx].op = InstOp::Branch {
-                            cond: cond.clone(),
-                            guess: taken,
-                            alt_cont: Vec::new(),
-                        };
-                    }
-                    progressed = true;
+            let inst = &self.threads[tid.0].instances[idx];
+            let resolved = match &inst.op {
+                InstOp::Branch { cond, guess, .. } if inst.state == InstState::Pending => {
+                    self.eval_at(tid, idx, cond).map(|v| (v.as_bool(), *guess))
                 }
+                _ => None,
+            };
+            if let Some((taken, guessed)) = resolved {
+                let t = Arc::make_mut(&mut self.threads[tid.0]);
+                if taken != guessed {
+                    // mis-speculation: discard everything younger and
+                    // refetch down the other path.
+                    debug_assert!(
+                        t.instances[idx + 1..].iter().all(|i| !matches!(
+                            i.state,
+                            InstState::Propagated { .. }
+                                | InstState::RmwDone { wrote: Some(_), .. }
+                        )),
+                        "speculative stores must never propagate"
+                    );
+                    t.instances.truncate(idx + 1);
+                    let InstOp::Branch {
+                        guess, alt_cont, ..
+                    } = &mut t.instances[idx].op
+                    else {
+                        unreachable!("resolved instance is a branch");
+                    };
+                    *guess = taken;
+                    t.fetch_cont = std::mem::take(alt_cont);
+                }
+                t.instances[idx].state = InstState::Resolved { taken };
+                progressed = true;
             }
             idx += 1;
         }
@@ -976,7 +985,8 @@ impl FlatMachine {
     fn commit_fences(&mut self, tid: TId) -> bool {
         let mut progressed = false;
         for idx in 0..self.threads[tid.0].instances.len() {
-            let inst = self.threads[tid.0].instances[idx].clone();
+            let t = &self.threads[tid.0];
+            let inst = &t.instances[idx];
             if inst.state != InstState::Pending {
                 continue;
             }
@@ -986,7 +996,6 @@ impl FlatMachine {
                     // read half (`read_satisfied`); the write pre-set
                     // needs its write half landed (`is_bound`). For
                     // plain loads the two predicates coincide.
-                    let t = &self.threads[tid.0];
                     t.instances[..idx].iter().all(|j| {
                         (!f.pre.includes_reads() || !j.is_load() || j.read_satisfied())
                             && (!f.pre.includes_writes() || !j.is_store() || j.is_bound())
@@ -997,22 +1006,22 @@ impl FlatMachine {
                     // determined (the ctrl/addr half-barriers of ρ7); an
                     // RMW's desugared loop exit is a branch on its success
                     // flag, so unbound RMWs block like unresolved branches
-                    (0..idx).all(|j| {
-                        let jinst = &self.threads[tid.0].instances[j];
-                        match &jinst.op {
+                    t.instances[..idx]
+                        .iter()
+                        .enumerate()
+                        .all(|(j, jinst)| match &jinst.op {
                             InstOp::Branch { .. } => jinst.is_bound(),
                             InstOp::Rmw { .. } => jinst.is_bound(),
                             InstOp::Load { .. } | InstOp::Store { .. } => {
                                 self.addr_of(tid, j).is_some()
                             }
                             _ => true,
-                        }
-                    })
+                        })
                 }
                 _ => continue,
             };
             if ready {
-                self.threads[tid.0].instances[idx].state = InstState::Committed;
+                Arc::make_mut(&mut self.threads[tid.0]).instances[idx].state = InstState::Committed;
                 progressed = true;
             }
         }
@@ -1114,7 +1123,9 @@ impl FlatMachine {
                 };
                 // A pending store exclusive may still fail, so its value
                 // must never be forwarded (conservative vs ρ13 — see
-                // DESIGN.md); the load waits for it to propagate or fail.
+                // "Flat-lite's conservative simplifications" in
+                // docs/architecture.md); the load waits for it to
+                // propagate or fail.
                 if *exclusive {
                     return None;
                 }
@@ -1585,7 +1596,10 @@ impl FlatMachine {
         out
     }
 
-    /// Apply a transition (must be enabled) and auto-drain.
+    /// Apply a transition (must be enabled) and auto-drain the acting
+    /// thread — the only thread a step can move off its drain fixpoint,
+    /// since the deterministic steps read and write only their own
+    /// thread.
     ///
     /// # Panics
     ///
@@ -1595,7 +1609,7 @@ impl FlatMachine {
             FlatTransition::FetchBranch { tid, taken } => {
                 let code = Arc::clone(&self.program);
                 let code = &code.threads()[tid.0];
-                let t = &mut self.threads[tid.0];
+                let t = Arc::make_mut(&mut self.threads[tid.0]);
                 let top = *t.fetch_cont.last().expect("fetch point exists");
                 match code.stmt(top).clone() {
                     Stmt::If {
@@ -1648,24 +1662,26 @@ impl FlatMachine {
                 let (src, val) = self
                     .load_source(*tid, *idx)
                     .expect("satisfy transition enabled");
-                self.threads[tid.0].instances[*idx].state = InstState::Satisfied { src, val };
+                Arc::make_mut(&mut self.threads[tid.0]).instances[*idx].state =
+                    InstState::Satisfied { src, val };
             }
             FlatTransition::Propagate { tid, idx } => {
                 let (loc, val) = self
                     .store_ready(*tid, *idx)
                     .expect("propagate transition enabled");
                 let ts = self.memory.push(Msg::new(loc, val, *tid));
-                self.threads[tid.0].instances[*idx].state = InstState::Propagated { ts };
+                Arc::make_mut(&mut self.threads[tid.0]).instances[*idx].state =
+                    InstState::Propagated { ts };
             }
             FlatTransition::FailStx { tid, idx } => {
-                self.threads[tid.0].instances[*idx].state = InstState::Failed;
+                Arc::make_mut(&mut self.threads[tid.0]).instances[*idx].state = InstState::Failed;
             }
             FlatTransition::BindRmw { tid, idx } => {
                 let loc = self
                     .rmw_bind_ready(*tid, *idx)
                     .expect("bind transition enabled");
-                let inst = self.threads[tid.0].instances[*idx].clone();
-                let InstOp::Rmw { dst, expected, .. } = &inst.op else {
+                let InstOp::Rmw { dst, expected, .. } = &self.threads[tid.0].instances[*idx].op
+                else {
                     unreachable!("rmw transition targets an rmw instance");
                 };
                 // bind the read half to the coherence-latest write; the
@@ -1685,7 +1701,7 @@ impl FlatMachine {
                         old != ev
                     }
                 };
-                self.threads[tid.0].instances[*idx].state = if compare_failed {
+                Arc::make_mut(&mut self.threads[tid.0]).instances[*idx].state = if compare_failed {
                     InstState::RmwDone {
                         tr,
                         old,
@@ -1707,13 +1723,204 @@ impl FlatMachine {
                 // tr, fresh)`, so the append lands adjacent to the bound
                 // read in the location's stream — the pairing invariant.
                 let tw = self.memory.push(Msg::new(loc, val, *tid));
-                self.threads[tid.0].instances[*idx].state = InstState::RmwDone {
-                    tr,
-                    old,
-                    wrote: Some(tw),
-                };
+                Arc::make_mut(&mut self.threads[tid.0]).instances[*idx].state =
+                    InstState::RmwDone {
+                        tr,
+                        old,
+                        wrote: Some(tw),
+                    };
             }
         }
-        self.drain();
+        self.drain_thread(tr.tid());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use promising_core::parse_program;
+    use std::collections::{HashSet, VecDeque};
+
+    /// What a state-graph walk exercised.
+    #[derive(Default)]
+    struct Seen {
+        /// Applied transitions, by kind.
+        kinds: BTreeMap<&'static str, usize>,
+        /// Mis-speculated branches resolved (guess flipped, younger
+        /// instances squashed).
+        squashes: usize,
+        /// Steps after which some fence or `isb` had committed.
+        commits: usize,
+        /// Steps after which some CAS had failed its compare.
+        compare_failures: usize,
+        stuck_states: usize,
+    }
+
+    fn kind(tr: &FlatTransition) -> &'static str {
+        match tr {
+            FlatTransition::FetchBranch { .. } => "FetchBranch",
+            FlatTransition::Satisfy { .. } => "Satisfy",
+            FlatTransition::Propagate { .. } => "Propagate",
+            FlatTransition::FailStx { .. } => "FailStx",
+            FlatTransition::BindRmw { .. } => "BindRmw",
+            FlatTransition::PropagateRmw { .. } => "PropagateRmw",
+        }
+    }
+
+    /// Pending branches of `before` whose guess `after` flipped.
+    fn squashes(before: &FlatThread, after: &FlatThread) -> usize {
+        let flipped = |(a, b): &(&Instance, &Instance)| match (&a.op, &b.op) {
+            (InstOp::Branch { guess: g, .. }, InstOp::Branch { guess: h, .. }) => {
+                a.state == InstState::Pending && g != h
+            }
+            _ => false,
+        };
+        before
+            .instances
+            .iter()
+            .zip(&after.instances)
+            .filter(flipped)
+            .count()
+    }
+
+    /// Whether some thread has more instances satisfying `p` in `after`
+    /// than in `before`.
+    fn gained(before: &FlatMachine, after: &FlatMachine, p: fn(&Instance) -> bool) -> bool {
+        let count = |t: &FlatThread| t.instances.iter().filter(|i| p(i)).count();
+        before
+            .threads
+            .iter()
+            .zip(&after.threads)
+            .any(|(a, b)| count(b) > count(a))
+    }
+
+    /// Breadth-first search over the whole Flat state graph of `src`
+    /// (every enabled transition, no reduction), with `Config::por` on
+    /// and off. At every state, for every enabled transition:
+    ///
+    /// * applying it to a clone leaves the parent's `state_key` and
+    ///   `fingerprint` unchanged — the copy-on-write threads are never
+    ///   written through a shared `Arc`;
+    /// * draining *every* thread of the successor leaves its
+    ///   `state_key` unchanged — draining only the acting thread after a
+    ///   step already reached the all-thread fixpoint.
+    fn walk(src: &str, config: Config) -> Seen {
+        let (program, _) = parse_program(src).expect("test program parses");
+        let program = Arc::new(program);
+        let mut seen = Seen::default();
+        for por in [true, false] {
+            let root = FlatMachine::new(Arc::clone(&program), config.clone().with_por(por));
+            let mut visited: HashSet<FlatStateKey> = HashSet::from([root.state_key()]);
+            let mut queue = VecDeque::from([root]);
+            while let Some(s) = queue.pop_front() {
+                seen.stuck_states += s.any_stuck() as usize;
+                let (key, fp) = (s.state_key(), s.fingerprint());
+                for tr in s.enabled() {
+                    let mut next = s.clone();
+                    next.apply(&tr);
+                    assert_eq!(s.state_key(), key, "applying {tr} changed its parent");
+                    assert_eq!(s.fingerprint(), fp, "applying {tr} changed its parent");
+                    let next_key = next.state_key();
+                    let mut drained = next.clone();
+                    drained.drain();
+                    assert_eq!(
+                        drained.state_key(),
+                        next_key,
+                        "a thread was off its drain fixpoint after {tr}"
+                    );
+                    *seen.kinds.entry(kind(&tr)).or_default() += 1;
+                    seen.squashes += (s.threads.iter().zip(&next.threads))
+                        .map(|(a, b)| squashes(a, b))
+                        .sum::<usize>();
+                    seen.commits += gained(&s, &next, |i| i.state == InstState::Committed) as usize;
+                    seen.compare_failures += gained(&s, &next, |i| {
+                        matches!(i.state, InstState::RmwDone { wrote: None, .. })
+                    }) as usize;
+                    if visited.insert(next_key) {
+                        queue.push_back(next);
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn speculation_and_squash_keep_parents_and_drain_fixpoints() {
+        // PPOCA: a store, a forwarded load and an address-dependent load
+        // fetched past an unresolved branch, squashed when the guess
+        // was wrong.
+        let ppoca = walk(
+            "store(x, 1)\ndmb.sy\nstore(y, 1)\n---\n\
+             r0 = load(y)\n\
+             if (r0 == 1) { store(z, 1)\nr1 = load(z)\nr2 = load(x + (r1 - r1)) }\n\
+             r3 = r0 + 1",
+            Config::arm(),
+        );
+        // MP+ctrl, with work on both arms of the branch.
+        let mp_ctrl = walk(
+            "store(x, 1)\nstore(y, 1)\n---\n\
+             r1 = load(y)\n\
+             if (r1 == 0) { r4 = 1 } else { r5 = r1 + 1 }\n\
+             r2 = load(x)",
+            Config::arm(),
+        );
+        for seen in [ppoca, mp_ctrl] {
+            assert!(seen.kinds["FetchBranch"] > 0 && seen.squashes > 0);
+        }
+    }
+
+    #[test]
+    fn fences_and_isb_keep_parents_and_drain_fixpoints() {
+        let seen = walk(
+            "store(x, 1)\ndmb.st\nstore(y, 1)\n---\n\
+             r1 = load(y)\n\
+             if (r1 == 1) { isb }\n\
+             r2 = load(x)\n\
+             dmb.ld\n\
+             fence(rw, w)\n\
+             store(z, r2)",
+            Config::arm(),
+        );
+        assert!(seen.commits > 0 && seen.squashes > 0);
+    }
+
+    #[test]
+    fn exclusives_keep_parents_and_drain_fixpoints() {
+        let seen = walk(
+            "r1 = loadx(x)\nr2 = storex(x, r1 + 1)\nr5 = r2 + 1\n---\n\
+             r3 = loadx_acq(x)\nr4 = storex_rel(x, r3 + 2)\n---\n\
+             store(x, 7)",
+            Config::arm(),
+        );
+        assert!(seen.kinds["FailStx"] > 0 && seen.kinds["Propagate"] > 0);
+    }
+
+    #[test]
+    fn rmws_keep_parents_and_drain_fixpoints() {
+        // Two CASes race for x, so one compare fails; a fetch-add's
+        // operand and two assignments depend on the old values read.
+        for config in [Config::arm(), Config::riscv()] {
+            let seen = walk(
+                "r1 = cas_acq(x, 0, 1)\nr2 = amo_add(y, r1 + 1)\nr5 = r2 + 1\n---\n\
+                 r3 = cas(x, 0, 2)\nr4 = amo_swap_rel(x, 5)\nr6 = r3 + r4",
+                config,
+            );
+            assert!(seen.kinds["BindRmw"] > 0 && seen.kinds["PropagateRmw"] > 0);
+            assert!(seen.compare_failures > 0);
+        }
+    }
+
+    #[test]
+    fn exhausted_loops_keep_parents_and_drain_fixpoints() {
+        // The loop count is the value read, so reading 5 exhausts the
+        // fuel on a resolved path. (The count must not be re-read from
+        // memory: with POR off such a spin loop has an infinite graph.)
+        let seen = walk(
+            "r1 = load(x)\nwhile (r1 != 0) { r1 = r1 - 1 }\nr2 = r1 + 1\n---\n\
+             store(x, 1)\nstore(x, 5)",
+            Config::arm().with_loop_fuel(2),
+        );
+        assert!(seen.kinds["FetchBranch"] > 0 && seen.squashes > 0 && seen.stuck_states > 0);
     }
 }
